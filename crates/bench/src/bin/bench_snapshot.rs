@@ -73,6 +73,19 @@ fn spiked_rows(n: usize, spike: usize) -> CsrMatrix {
     coo.to_csr()
 }
 
+/// CPU model from `/proc/cpuinfo`, so a snapshot names the host it ran on.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 struct Harness {
     budget: Duration,
     results: Vec<BenchRow>,
@@ -535,6 +548,26 @@ fn main() -> ExitCode {
         }
     }
 
+    // Exact recovery's kernel: factor and solve the lost rows' principal
+    // submatrix, as the engine's coupled solve does. A 256-row page of the
+    // 128×128 Poisson grid and the 512-row union across the boundary of a
+    // 2-rank split; the envelope Cholesky only works inside the stencil band.
+    {
+        let a = poisson_2d(128);
+        for (name, rows) in [
+            ("poisson_page256", 4096..4352),
+            ("poisson_pair512", 7936..8448),
+        ] {
+            let rows: Vec<usize> = rows.collect();
+            let block = a.principal_submatrix(&rows);
+            let rhs: Vec<f64> = (0..rows.len()).map(|i| (i as f64 * 0.37).sin()).collect();
+            h.bench(&format!("recovery/cholesky/{name}"), || {
+                let chol = black_box(&block).cholesky().expect("SPD page block");
+                black_box(chol.solve(black_box(&rhs)))
+            });
+        }
+    }
+
     // PR 10: coupled cross-rank recovery — adjacent iterate pages lost on
     // *both* sides of a rank boundary in the same iteration, so neither
     // rank can interpolate alone and the plain request/reply round comes
@@ -777,6 +810,7 @@ fn main() -> ExitCode {
         "  \"threads\": {},\n",
         rayon::current_num_threads()
     ));
+    out.push_str(&format!("  \"cpu_model\": \"{}\",\n", cpu_model()));
     out.push_str(&format!(
         "  \"available_parallelism\": {},\n",
         std::thread::available_parallelism()

@@ -39,7 +39,7 @@ use std::ops::Range;
 
 use feir_pagemem::{AccessOutcome, PageRegistry, VectorId};
 use feir_sparse::blocking::BlockPartition;
-use feir_sparse::{CsrMatrix, DenseMatrix, LocalBlockJacobi};
+use feir_sparse::{CsrMatrix, LocalBlockJacobi};
 
 use crate::report::{RecoveryAction, RecoveryEvent};
 
@@ -381,17 +381,10 @@ impl RecoverableIteration for MergedPcgRelations<'_> {
 /// global rows (a principal submatrix of the SPD operator, hence Cholesky).
 fn solve_coupled(a: &CsrMatrix, rows: &[usize], rhs: &[f64]) -> Option<Vec<f64>> {
     debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be sorted");
-    let k = rows.len();
-    let mut m = DenseMatrix::zeros(k, k);
-    for (i, &r) in rows.iter().enumerate() {
-        let (cols, vals) = a.row(r);
-        for (c, v) in cols.iter().zip(vals) {
-            if let Ok(j) = rows.binary_search(c) {
-                m.set(i, j, *v);
-            }
-        }
-    }
-    m.cholesky().ok().map(|chol| chol.solve(rhs))
+    a.principal_submatrix(rows)
+        .cholesky()
+        .ok()
+        .map(|chol| chol.solve(rhs))
 }
 
 /// Exact recovery of lost rows of the **iterate**: solves

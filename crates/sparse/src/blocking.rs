@@ -195,25 +195,12 @@ impl DiagonalBlocks {
         rhs: &[f64],
         spd: bool,
     ) -> Option<Vec<f64>> {
-        let ranges: Vec<_> = blocks.iter().map(|&b| self.partition.range(b)).collect();
-        let total: usize = ranges.iter().map(|r| r.len()).sum();
-        assert_eq!(rhs.len(), total, "combined rhs length mismatch");
-        // Assemble the combined dense matrix.
-        let mut m = DenseMatrix::zeros(total, total);
-        let mut row_offset = 0;
-        for ri in &ranges {
-            let mut col_offset = 0;
-            for rj in &ranges {
-                let block = a.dense_block(ri.start, ri.end, rj.start, rj.end);
-                for r in 0..block.rows() {
-                    for c in 0..block.cols() {
-                        m.set(row_offset + r, col_offset + c, block.get(r, c));
-                    }
-                }
-                col_offset += rj.len();
-            }
-            row_offset += ri.len();
-        }
+        let rows: Vec<usize> = blocks
+            .iter()
+            .flat_map(|&b| self.partition.range(b))
+            .collect();
+        assert_eq!(rhs.len(), rows.len(), "combined rhs length mismatch");
+        let m = a.principal_submatrix(&rows);
         match Self::factorize_block(&m, spd) {
             BlockFactor::Cholesky(c) => Some(c.solve(rhs)),
             BlockFactor::Lu(lu) => Some(lu.solve(rhs)),

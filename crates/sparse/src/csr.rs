@@ -394,6 +394,28 @@ impl CsrMatrix {
         block
     }
 
+    /// Extracts the dense principal submatrix `A[rows, rows]`, its rows and
+    /// columns in the order of `rows` (which must be distinct): entry
+    /// `(i, j)` is `A[rows[i], rows[j]]`.
+    pub fn principal_submatrix(&self, rows: &[usize]) -> DenseMatrix {
+        let mut position: Vec<(usize, usize)> = rows.iter().copied().zip(0..).collect();
+        position.sort_unstable();
+        debug_assert!(
+            position.windows(2).all(|w| w[0].0 < w[1].0),
+            "rows must be distinct"
+        );
+        let mut block = DenseMatrix::zeros(rows.len(), rows.len());
+        for (i, &r) in rows.iter().enumerate() {
+            let (cols, vals) = self.row(r);
+            for (c, v) in cols.iter().zip(vals) {
+                if let Ok(p) = position.binary_search_by_key(c, |&(row, _)| row) {
+                    block.set(i, position[p].1, *v);
+                }
+            }
+        }
+        block
+    }
+
     /// Frobenius norm of the matrix.
     pub fn frobenius_norm(&self) -> f64 {
         self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -537,6 +559,49 @@ mod tests {
         assert_eq!(b.get(0, 0), -1.0);
         assert_eq!(b.get(0, 1), 4.0);
         assert_eq!(b.get(1, 1), -1.0);
+    }
+
+    #[test]
+    fn principal_submatrix_places_entries_where_the_block_assemblies_did() {
+        let a = crate::generators::random_spd(96, 5, 42);
+        let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // A contiguous range is the diagonal dense block.
+        let rows: Vec<usize> = (16..48).collect();
+        assert_eq!(
+            bits(&a.principal_submatrix(&rows)),
+            bits(&a.dense_block(16, 48, 16, 48))
+        );
+        // Blocks in caller order: the pairwise dense-block assembly.
+        let ranges = [64..80, 8..24, 40..56];
+        let rows: Vec<usize> = ranges.iter().flat_map(|r| r.clone()).collect();
+        let mut pairwise = DenseMatrix::zeros(rows.len(), rows.len());
+        let mut row_offset = 0;
+        for ri in &ranges {
+            let mut col_offset = 0;
+            for rj in &ranges {
+                let block = a.dense_block(ri.start, ri.end, rj.start, rj.end);
+                for r in 0..block.rows() {
+                    for c in 0..block.cols() {
+                        pairwise.set(row_offset + r, col_offset + c, block.get(r, c));
+                    }
+                }
+                col_offset += rj.len();
+            }
+            row_offset += ri.len();
+        }
+        assert_eq!(bits(&a.principal_submatrix(&rows)), bits(&pairwise));
+        // Sorted scattered rows: the binary-search assembly over `rows`.
+        let rows: Vec<usize> = (0..96).filter(|r| r % 3 != 1).collect();
+        let mut searched = DenseMatrix::zeros(rows.len(), rows.len());
+        for (i, &r) in rows.iter().enumerate() {
+            let (cols, vals) = a.row(r);
+            for (c, v) in cols.iter().zip(vals) {
+                if let Ok(j) = rows.binary_search(c) {
+                    searched.set(i, j, *v);
+                }
+            }
+        }
+        assert_eq!(bits(&a.principal_submatrix(&rows)), bits(&searched));
     }
 
     #[test]

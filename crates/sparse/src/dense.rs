@@ -1,11 +1,39 @@
 //! Dense matrices and the factorizations used to solve recovery block systems.
 //!
 //! The paper's inverse block relations (Table 1) require solving
-//! `A_ii x_i = r_i` where `A_ii` is the diagonal block of the sparse matrix
-//! corresponding to one lost memory page (at most 512×512). When `A` is SPD
-//! the diagonal block is SPD as well and a Cholesky factorization applies;
-//! otherwise LU with partial pivoting or a Householder least-squares solve on
-//! the full block column is used, mirroring Agullo et al.'s approach.
+//! `A_RR x_R = r_R` where `A_RR` is the principal submatrix of the sparse
+//! matrix over the lost rows `R`: one memory page, or the union of several
+//! pages lost together. When `A` is SPD so is `A_RR` and a Cholesky
+//! factorization applies; otherwise LU with partial pivoting or a
+//! Householder least-squares solve on the full block column is used,
+//! mirroring Agullo et al.'s approach.
+//!
+//! # Envelope Cholesky
+//!
+//! [`Cholesky`] works inside the envelope ("profile") of its input, the
+//! classical scheme of George & Liu (1981). `first[i]` is the first column
+//! of row `i` whose stored value is not `+0.0` (bits, so a stored `-0.0`
+//! counts), and `last[i]` is the last row whose envelope reaches column `i`.
+//! The factor runs `j` over `first[i]..=i` and `k` over
+//! `max(first[i], first[j])..j`; forward substitution runs over
+//! `first[i]..i`, back substitution over `i+1..=last[i]`. Factoring costs
+//! at most `Σᵢ (i − first[i])² / 2` multiply-subtracts instead of `n³/6`,
+//! and a solve about `2 Σᵢ (i − first[i])` instead of `n²`. On a 5-point
+//! stencil over a 128-wide grid, a 256-row page factors in 0.72 M
+//! multiply-subtracts instead of 2.80 M, and the 512-row union of the two
+//! pages that meet at a rank boundary in 2.83 M instead of 22.4 M. A dense
+//! input has the whole lower triangle as its envelope and costs what the
+//! dense loop costs.
+//!
+//! The result is bit-identical to the unbounded dense Crout loop for every
+//! finite `A` and finite right-hand side. Every skipped term is an exact
+//! `+0.0 × finite` product: the entries of `L` left of the envelope stay
+//! `+0.0`, and the kept terms are accumulated in the unchanged order. A
+//! skipped `±0.0` term can only change the sign of a sum that is still
+//! zero, and each loop reproduces that sign exactly: the factor runs the
+//! full loop for a stored `-0.0`, and the substitutions track which solved
+//! entries carry a sign bit. The same holds for the pivot index of
+//! [`SparseError::SingularPivot`].
 
 use serde::{Deserialize, Serialize};
 
@@ -176,36 +204,74 @@ impl DenseMatrix {
     }
 }
 
-/// Cholesky factorization `A = L Lᵀ` of an SPD matrix.
+/// Bits of `-0.0`, the one zero whose sign the skipped envelope terms can flip.
+const NEG_ZERO_BITS: u64 = 0x8000_0000_0000_0000;
+
+/// Cholesky factorization `A = L Lᵀ` of an SPD matrix, bounded to the
+/// envelope of `A` (see the module documentation).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Cholesky {
     n: usize,
     /// Lower-triangular factor stored row-major, including the diagonal.
+    /// Entries left of the envelope are exactly `+0.0` and never read.
     l: Vec<f64>,
+    /// `first[i]`: first column of row `i` inside the envelope.
+    first: Vec<usize>,
+    /// `last[i]`: last row whose envelope reaches column `i`.
+    last: Vec<usize>,
 }
 
 impl Cholesky {
     /// Factorizes the given SPD matrix.
     pub fn new(a: &DenseMatrix) -> Result<Self, SparseError> {
         let n = a.require_square()?;
+        let first: Vec<usize> = (0..n)
+            .map(|i| {
+                a.data[i * n..i * n + i]
+                    .iter()
+                    .position(|v| v.to_bits() != 0)
+                    .unwrap_or(i)
+            })
+            .collect();
+        let mut last = vec![0; n];
+        for (k, &f) in first.iter().enumerate() {
+            last[f] = k;
+        }
+        for c in 1..n {
+            last[c] = last[c].max(last[c - 1]);
+        }
         let mut l = vec![0.0; n * n];
         for i in 0..n {
-            for j in 0..=i {
+            let (done, rest) = l.split_at_mut(i * n);
+            let li = &mut rest[..n];
+            for j in first[i]..=i {
                 let mut sum = a.get(i, j);
-                for k in 0..j {
-                    sum -= l[i * n + k] * l[j * n + k];
-                }
+                // Every skipped term k < k0 is `+0.0 × finite`. It leaves the
+                // sum unchanged unless the sum is a stored -0.0, which one
+                // -0.0 product turns into +0.0: that entry runs the full loop.
+                let k0 = if sum.to_bits() == NEG_ZERO_BITS {
+                    0
+                } else {
+                    first[i].max(first[j])
+                };
                 if i == j {
+                    for v in &li[k0..i] {
+                        sum -= v * v;
+                    }
                     if sum <= 0.0 || !sum.is_finite() {
                         return Err(SparseError::SingularPivot { pivot: i });
                     }
-                    l[i * n + i] = sum.sqrt();
+                    li[i] = sum.sqrt();
                 } else {
-                    l[i * n + j] = sum / l[j * n + j];
+                    let lj = &done[j * n..j * n + j + 1];
+                    for (x, y) in li[k0..j].iter().zip(&lj[k0..j]) {
+                        sum -= x * y;
+                    }
+                    li[j] = sum / lj[j];
                 }
             }
         }
-        Ok(Self { n, l })
+        Ok(Self { n, l, first, last })
     }
 
     /// Dimension of the factorized matrix.
@@ -217,15 +283,42 @@ impl Cholesky {
     pub fn solve_in_place(&self, b: &mut [f64]) {
         assert_eq!(b.len(), self.n);
         let n = self.n;
-        // Forward substitution L y = b.
+        // Forward substitution L y = b. A dense sum starts at -0.0, the
+        // identity of f64 addition; the skipped prefix terms `+0.0 × y[k]`
+        // leave it -0.0 only if every such y[k] carries a sign bit, i.e. lies
+        // in y[..neg_run].
+        let mut neg_run = 0;
         for i in 0..n {
-            let dot: f64 = (0..i).map(|k| self.l[i * n + k] * b[k]).sum();
-            b[i] = (b[i] - dot) / self.l[i * n + i];
+            let row = &self.l[i * n..i * n + i + 1];
+            let f = self.first[i];
+            let mut dot = if f <= neg_run { -0.0 } else { 0.0 };
+            for (l, y) in row[f..i].iter().zip(&b[f..i]) {
+                dot += l * y;
+            }
+            b[i] = (b[i] - dot) / row[i];
+            if neg_run == i && b[i].is_sign_negative() {
+                neg_run += 1;
+            }
         }
-        // Backward substitution Lᵀ x = y.
+        // Backward substitution Lᵀ x = y. The skipped suffix terms
+        // `+0.0 × x[k]`, k > last[i], turn a -0.0 sum into +0.0 if any such
+        // x[k] has no sign bit; `nonneg` is the highest solved k whose x[k]
+        // has none.
+        let mut nonneg = None;
         for i in (0..n).rev() {
-            let dot: f64 = ((i + 1)..n).map(|k| self.l[k * n + i] * b[k]).sum();
+            let last = self.last[i];
+            let mut dot = -0.0;
+            let column = self.l[i * n + i..].iter().step_by(n).skip(1);
+            for (l, x) in column.zip(&b[i + 1..=last]) {
+                dot += l * x;
+            }
+            if dot.to_bits() == NEG_ZERO_BITS && nonneg.is_some_and(|k| k > last) {
+                dot = 0.0;
+            }
             b[i] = (b[i] - dot) / self.l[i * n + i];
+            if nonneg.is_none() && !b[i].is_sign_negative() {
+                nonneg = Some(i);
+            }
         }
     }
 
@@ -428,6 +521,189 @@ impl Qr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::poisson_2d;
+    use crate::proxies::PaperMatrix;
+    use crate::BlockPartition;
+    use rand::{RngExt, SeedableRng};
+
+    /// The unbounded dense Crout factor, kept as the oracle that the
+    /// envelope-bounded [`Cholesky::new`] must match bit for bit.
+    fn reference_factor(a: &DenseMatrix) -> Result<Vec<f64>, SparseError> {
+        let n = a.require_square()?;
+        let mut l = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a.get(i, j);
+                for k in 0..j {
+                    sum -= l[i * n + k] * l[j * n + k];
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return Err(SparseError::SingularPivot { pivot: i });
+                    }
+                    l[i * n + i] = sum.sqrt();
+                } else {
+                    l[i * n + j] = sum / l[j * n + j];
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// The unbounded dense substitutions matching [`reference_factor`].
+    fn reference_solve(l: &[f64], b: &[f64]) -> Vec<f64> {
+        let n = b.len();
+        let mut b = b.to_vec();
+        for i in 0..n {
+            let dot: f64 = (0..i).map(|k| l[i * n + k] * b[k]).sum();
+            b[i] = (b[i] - dot) / l[i * n + i];
+        }
+        for i in (0..n).rev() {
+            let dot: f64 = ((i + 1)..n).map(|k| l[k * n + i] * b[k]).sum();
+            b[i] = (b[i] - dot) / l[i * n + i];
+        }
+        b
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Right-hand sides for the bitwise comparison: a dense random vector,
+    /// one mixing signed zeros with values, and the all-`-0.0` vector (the
+    /// last two reach the sign-of-zero cases of the substitutions).
+    fn probe_rhs(n: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let dense = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
+        let zeros = (0..n)
+            .map(|_| match rng.random_range(0..4usize) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.random_range(-1.0..1.0),
+            })
+            .collect();
+        vec![dense, zeros, vec![-0.0; n]]
+    }
+
+    /// Asserts that the envelope factor and its solves reproduce the dense
+    /// reference bit for bit (or fail at the same pivot).
+    fn assert_matches_reference(a: &DenseMatrix, what: &str) {
+        match (reference_factor(a), Cholesky::new(a)) {
+            (Ok(l), Ok(chol)) => {
+                assert_eq!(bits(&chol.l), bits(&l), "{what}: factor bits differ");
+                for (k, b) in probe_rhs(a.rows(), a.rows() as u64).iter().enumerate() {
+                    assert_eq!(
+                        bits(&chol.solve(b)),
+                        bits(&reference_solve(&l, b)),
+                        "{what}: solve bits differ on rhs {k}"
+                    );
+                }
+            }
+            (Err(want), Err(got)) => assert_eq!(got, want, "{what}: pivot differs"),
+            (want, got) => panic!(
+                "{what}: reference {:?} but envelope {:?}",
+                want.err(),
+                got.err()
+            ),
+        }
+    }
+
+    #[test]
+    fn envelope_cholesky_matches_dense_reference_on_proxy_pages() {
+        for m in PaperMatrix::ALL {
+            let a = m.build(0.2);
+            for (page, range) in BlockPartition::pages(a.rows()).iter() {
+                let block = a.dense_block(range.start, range.end, range.start, range.end);
+                assert_matches_reference(&block, &format!("{} page {page}", m.name()));
+            }
+        }
+    }
+
+    #[test]
+    fn envelope_cholesky_matches_dense_reference_on_page_unions() {
+        let a = poisson_2d(128);
+        // The 512-row union across the rank boundary of a 2-rank split.
+        let union: Vec<usize> = (7936..8448).collect();
+        assert_matches_reference(&a.principal_submatrix(&union), "boundary union");
+        // Two non-adjacent 256-row pages lost together.
+        let pair: Vec<usize> = (1024..1280).chain(1536..1792).collect();
+        assert_matches_reference(&a.principal_submatrix(&pair), "page pair");
+    }
+
+    #[test]
+    fn envelope_cholesky_matches_dense_reference_on_dense_and_diagonal_blocks() {
+        let n = 48;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let b = DenseMatrix::from_row_major(
+            n,
+            n,
+            (0..n * n).map(|_| rng.random_range(-1.0..1.0)).collect(),
+        );
+        let mut spd = b.matmul(&b.transpose());
+        for i in 0..n {
+            spd.add_to(i, i, n as f64);
+        }
+        assert_matches_reference(&spd, "dense random SPD");
+        let mut diag = DenseMatrix::zeros(n, n);
+        for i in 0..n {
+            diag.set(i, i, 1.0 + i as f64);
+        }
+        assert_matches_reference(&diag, "diagonal");
+    }
+
+    #[test]
+    fn envelope_cholesky_matches_dense_reference_with_stored_negative_zero() {
+        // Row 2's envelope starts at a stored -0.0 in column 1; the dense
+        // loop subtracts l[2,0]·l[1,0] = +0.0 × -0.25 = -0.0 from it first,
+        // which turns the entry of L into +0.0.
+        let a = DenseMatrix::from_row_major(
+            3,
+            3,
+            vec![4.0, -1.0, 0.0, -1.0, 4.0, -0.0, 0.0, -0.0, 4.0],
+        );
+        assert_matches_reference(&a, "3x3 with -0.0");
+        let chol = a.cholesky().unwrap();
+        assert_eq!(chol.l[2 * 3 + 1].to_bits(), 0.0f64.to_bits());
+        // Random profiles with signed zeros stored inside the envelope.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for trial in 0..40 {
+            let n = rng.random_range(1..40usize);
+            let mut a = DenseMatrix::zeros(n, n);
+            for i in 0..n {
+                let first = i - rng.random_range(0..i.min(8) + 1);
+                for j in first..i {
+                    let v = match rng.random_range(0..4usize) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        _ => rng.random_range(-1.0..1.0),
+                    };
+                    a.set(i, j, v);
+                    a.set(j, i, v);
+                }
+                a.set(i, i, 20.0 + rng.random_range(0.0..1.0));
+            }
+            assert_matches_reference(&a, &format!("signed-zero profile {trial}"));
+        }
+    }
+
+    #[test]
+    fn envelope_cholesky_reports_the_reference_pivot_on_indefinite_blocks() {
+        let a = poisson_2d(16);
+        let mut page = a.dense_block(0, 256, 0, 256);
+        page.set(100, 100, -1.0);
+        assert_matches_reference(&page, "negative diagonal");
+        let mut page = a.dense_block(0, 256, 0, 256);
+        page.set(200, 184, 5.0);
+        page.set(184, 200, 5.0);
+        assert_matches_reference(&page, "dominant off-diagonal");
+        assert!(matches!(
+            page.cholesky(),
+            Err(SparseError::SingularPivot { .. })
+        ));
+        let mut zero_row = DenseMatrix::identity(5);
+        zero_row.set(3, 3, 0.0);
+        assert_matches_reference(&zero_row, "zero diagonal");
+    }
 
     fn spd3() -> DenseMatrix {
         DenseMatrix::from_row_major(3, 3, vec![4.0, 1.0, 0.5, 1.0, 5.0, 1.5, 0.5, 1.5, 6.0])
