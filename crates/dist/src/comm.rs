@@ -1,49 +1,59 @@
 //! Message-passing primitives between ranks: halo exchange for the block-row
-//! SpMV and the rank-ordered sum allreduce for the CG dot products.
+//! SpMV, the rank-ordered sum allreduce for the CG dot products, and the
+//! neighbourhood collectives of cross-rank recovery.
 //!
-//! Two backends live behind the same [`RankComm`] surface:
+//! One protocol, two links. Every collective of [`RankComm`] is written once,
+//! over a per-rank link that only knows how to send a [`feir_wire::Message`]
+//! to a peer and receive the next message of a given [`Tag`] from it:
 //!
-//! * **In-process** — ranks are threads wired with `std::sync::mpsc` channels.
-//!   No rank ever reads another rank's buffers, so the data movement is
-//!   exactly the send/receive pattern an MPI implementation of Section 3.4
-//!   would perform. This is the default for unit tests and the thread-backed
-//!   solver entry points.
-//! * **Process** — ranks are real OS processes connected over Unix domain
+//! * **Memory** — ranks are threads of one process, wired with one unbounded
+//!   `std::sync::mpsc` channel per ordered rank pair. Messages move without
+//!   being encoded. No rank ever reads another rank's buffers, so the data
+//!   movement is exactly the send/receive pattern an MPI implementation of
+//!   Section 3.4 would perform. This is what [`RankComm::for_ranks`] builds
+//!   for unit tests and the thread-backed solver entry points.
+//! * **Sockets** — ranks are real OS processes connected over Unix domain
 //!   sockets (TCP fallback) speaking the versioned `feir-wire` frame protocol
-//!   (see [`crate::process`]). Every collective performs the *same*
-//!   rank-ordered arithmetic as the in-process backend, so results are
-//!   bitwise identical across backends.
+//!   through the reliability sublayer of [`crate::process`]
+//!   ([`RankComm::over_process`]).
+//!
+//! Both links deliver each peer's messages in order and demultiplex them by
+//! tag, so the same collective code sends the same messages in the same
+//! order and folds reductions in rank order on either link: results are
+//! bitwise identical across them.
 //!
 //! Every communication method returns `Result<_, CommError>`: a vanished
 //! peer — a disconnected channel in-process, a closed socket across
 //! processes — surfaces as a typed [`CommError`] instead of a panic, so the
-//! resilience engine can observe rank failure the same way on both backends.
+//! resilience engine can observe rank failure the same way on both links.
 
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 use feir_sparse::CsrMatrix;
+use feir_wire::{Message, Tag};
 
 use crate::partition::RankPartition;
-use crate::process::ProcessLinks;
+use crate::process::ProcessEndpoint;
 
 /// A communication failure observed by one rank.
 ///
-/// Both backends produce the same variants for the same situations: a peer
+/// Both links produce the same variants for the same situations: a peer
 /// that is gone mid-collective is [`CommError::Disconnected`] whether it was
 /// a dropped channel endpoint or a closed socket.
 #[derive(Debug)]
 pub enum CommError {
     /// A peer rank is gone: its channel endpoint was dropped (in-process) or
-    /// its socket closed / reset (process backend).
+    /// its socket closed / reset (process transport).
     Disconnected {
         /// The peer that vanished, when identifiable.
         peer: Option<usize>,
         /// The operation that observed the failure.
         during: &'static str,
     },
-    /// A read deadline expired while waiting on a peer (process backend).
+    /// A read deadline expired while waiting on a peer (process transport).
     Timeout {
         /// The peer that failed to respond.
         peer: usize,
@@ -171,387 +181,74 @@ impl HaloPlan {
     }
 }
 
-/// Message exchanged on the cross-rank recovery channels.
-///
-/// When a rank discovers a DUE whose recovery relation reaches across a rank
-/// boundary (the faulted block's matrix stencil references columns owned by a
-/// neighbour), it cannot reconstruct the block from local data alone: the
-/// off-diagonal contributions `A_ij · v_j` of the interpolation need the
-/// neighbour's current values. The recovery round is a collective over halo
-/// neighbours — every rank posts one [`RecoveryMsg::Request`] (possibly empty)
-/// per neighbour and answers the neighbour's request with one
-/// [`RecoveryMsg::Reply`], so the protocol stays deadlock-free in lockstep
-/// with the solver.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecoveryMsg {
-    /// Ask the receiving rank for the current authoritative values of the
-    /// listed global indices (which it owns). An empty list means "nothing
-    /// needed this round" and still participates in the collective.
-    Request(Vec<usize>),
-    /// The answer to the sender's last request, in request order.
-    Reply {
-        /// The owner's current values at the requested indices.
-        values: Vec<f64>,
-        /// Per value, whether the owner can vouch for it. `false` marks an
-        /// index inside a page the owner itself lost this round (its data
-        /// is a post-scrub blank): two ranks faulting simultaneously on
-        /// stencil-adjacent pages is the cross-rank form of the paper's
-        /// "related data" case, and the requester must blank-accept rather
-        /// than install a reconstruction built on garbage.
-        valid: Vec<bool>,
-    },
-    /// Coupled cross-rank recovery offer, travelling *down* the rank chain
-    /// (each rank receives from its higher-ranked halo neighbours, merges
-    /// its own offer in and forwards to its lower-ranked neighbours): the
-    /// sender's view of the lost-row union plus the surviving stencil
-    /// support the coupled solve needs from outside it.
-    CoupledGather {
-        /// `(global row, rhs value)` of lost rows in the coupled union (the
-        /// surviving residual / matvec value at each row).
-        rows: Vec<(usize, f64)>,
-        /// `(global col, value, valid)` stencil entries outside the union;
-        /// `valid == false` marks an entry its owner lost this round.
-        support: Vec<(usize, f64, bool)>,
-    },
-    /// Coupled cross-rank recovery result, travelling *up* the rank chain:
-    /// reconstructed `(global row, value)` entries for installation by the
-    /// rows' owners.
-    CoupledResult {
-        /// Reconstructed entries.
-        entries: Vec<(usize, f64)>,
-    },
-}
+/// The receiving end of one peer's channel plus the stash of its messages
+/// that arrived ahead of the tag a `recv` asked for.
+type Inbox = (Receiver<Box<Message>>, RefCell<VecDeque<Box<Message>>>);
 
-/// Rank-ordered sum allreduce over channels.
-///
-/// Rank 0 gathers one partial value per peer, accumulates them **in rank
-/// order** (so the result is bitwise deterministic run-to-run) and broadcasts
-/// the sum back. This is the reduction under every `⟨d,q⟩` and `‖g‖²` of the
-/// distributed CG.
-///
-/// Scalars and short vectors travel on separate channel pairs: the vector
-/// form ([`Reducer::allreduce_vec`]) batches all of an iteration's scalars
-/// into **one** collective — the merged-reduction solvers' single
-/// synchronization point — and reduces each component in rank order, so
-/// component `j` of the result is bitwise-identical to a scalar allreduce of
-/// the same partials.
+/// How one rank's messages reach its peers. Every [`RankComm`] collective is
+/// written once over [`Link::send`] and [`Link::recv`]; only
+/// [`RankComm::rejoin`] distinguishes the two variants.
 #[derive(Debug)]
-pub enum Reducer {
-    /// Rank 0: gathers from every peer and broadcasts the total.
-    Root {
-        /// Receiving side of the scalar gather channel.
-        gather: Receiver<(usize, f64)>,
-        /// Scalar broadcast sender per peer rank (index 0 unused).
-        broadcast: Vec<Sender<f64>>,
-        /// Receiving side of the vector gather channel.
-        gather_vec: Receiver<(usize, Vec<f64>)>,
-        /// Vector broadcast sender per peer rank (index 0 unused).
-        broadcast_vec: Vec<Sender<Vec<f64>>>,
+enum Link {
+    /// Ranks are threads of one process. Messages travel boxed: a
+    /// `Message` is 120 bytes, which makes each 31-slot block of an
+    /// unbounded channel about 4 KiB, allocated by the sending rank's
+    /// thread and freed by the receiving one. With pointer-sized slots the
+    /// perfbench `dist_due` protected/plain CPU ratio is 3% lower (10 of 10
+    /// paired runs, 2-vCPU Xeon).
+    Memory {
+        /// Sender to each peer, indexed by peer rank (`None` at this rank).
+        to: Vec<Option<Sender<Box<Message>>>>,
+        /// Inbox from each peer, indexed by peer rank (`None` at this rank).
+        from: Vec<Option<Inbox>>,
     },
-    /// Ranks 1..: send their partial and await the total.
-    Leaf {
-        /// This rank's id.
-        rank: usize,
-        /// Sending side of the scalar gather channel.
-        gather: Sender<(usize, f64)>,
-        /// Receiving side of the scalar broadcast channel.
-        broadcast: Receiver<f64>,
-        /// Sending side of the vector gather channel.
-        gather_vec: Sender<(usize, Vec<f64>)>,
-        /// Receiving side of the vector broadcast channel.
-        broadcast_vec: Receiver<Vec<f64>>,
-    },
+    /// Ranks are OS processes on a socket mesh: the reliability sublayer,
+    /// read deadlines and the elastic downed-peer check of
+    /// [`ProcessEndpoint`].
+    Sockets(Box<ProcessEndpoint>),
 }
 
-impl Reducer {
-    /// Creates one connected [`Reducer`] per rank.
-    pub fn for_ranks(ranks: usize) -> Vec<Reducer> {
-        assert!(ranks > 0, "need at least one rank");
-        let (gather_tx, gather_rx) = channel();
-        let (gather_vec_tx, gather_vec_rx) = channel();
-        let mut broadcast_txs = Vec::with_capacity(ranks);
-        let mut broadcast_rxs = Vec::with_capacity(ranks);
-        let mut broadcast_vec_txs = Vec::with_capacity(ranks);
-        let mut broadcast_vec_rxs = Vec::with_capacity(ranks);
-        for _ in 0..ranks {
-            let (tx, rx) = channel();
-            broadcast_txs.push(tx);
-            broadcast_rxs.push(rx);
-            let (tx, rx) = channel();
-            broadcast_vec_txs.push(tx);
-            broadcast_vec_rxs.push(rx);
-        }
-        let mut reducers = Vec::with_capacity(ranks);
-        reducers.push(Reducer::Root {
-            gather: gather_rx,
-            broadcast: broadcast_txs,
-            gather_vec: gather_vec_rx,
-            broadcast_vec: broadcast_vec_txs,
-        });
-        for (rank, (rx, rx_vec)) in broadcast_rxs
-            .into_iter()
-            .zip(broadcast_vec_rxs)
-            .enumerate()
-            .skip(1)
-        {
-            reducers.push(Reducer::Leaf {
-                rank,
-                gather: gather_tx.clone(),
-                broadcast: rx,
-                gather_vec: gather_vec_tx.clone(),
-                broadcast_vec: rx_vec,
-            });
-        }
-        reducers
-    }
-
-    /// Posts the local partial (a leaf sends it to the root; the root holds
-    /// it until the fold). First half of the split-phase protocol.
-    fn post_scalar(&self, local: f64) -> Result<(), CommError> {
-        if let Reducer::Leaf { rank, gather, .. } = self {
-            gather
-                .send((*rank, local))
+impl Link {
+    /// Queues `msg` for `peer`; never blocks on the peer.
+    fn send(&self, peer: usize, msg: Message, during: &'static str) -> Result<(), CommError> {
+        match self {
+            Link::Memory { to, .. } => to[peer]
+                .as_ref()
+                .expect("no link to self")
+                .send(Box::new(msg))
                 .map_err(|_| CommError::Disconnected {
-                    peer: Some(0),
-                    during: "allreduce gather",
-                })?;
-            let _ = rank;
+                    peer: Some(peer),
+                    during,
+                }),
+            Link::Sockets(endpoint) => endpoint.send(peer, &msg, during),
         }
-        Ok(())
     }
 
-    /// Completes a scalar allreduce whose partial was already posted.
-    fn finish_scalar(&self, local: f64) -> Result<f64, CommError> {
+    /// Blocks for the next message tagged `want` from `peer`. Messages of
+    /// other tags that arrive first are stashed and handed, in arrival
+    /// order, to the later `recv` that asks for their tag.
+    fn recv(&self, peer: usize, want: Tag, during: &'static str) -> Result<Message, CommError> {
         match self {
-            Reducer::Root {
-                gather, broadcast, ..
-            } => {
-                let peers = broadcast.len() - 1;
-                let mut partials = vec![0.0; peers + 1];
-                partials[0] = local;
-                for _ in 0..peers {
-                    let (rank, value) = gather.recv().map_err(|_| CommError::Disconnected {
-                        peer: None,
-                        during: "allreduce gather",
-                    })?;
-                    partials[rank] = value;
+            Link::Memory { from, .. } => {
+                let (rx, stash) = from[peer].as_ref().expect("no link to self");
+                let mut stash = stash.borrow_mut();
+                if let Some(at) = stash.iter().position(|m| m.tag() == want) {
+                    return Ok(*stash.remove(at).expect("stash position just found"));
                 }
-                let total: f64 = partials.iter().sum();
-                for (peer, tx) in broadcast.iter().enumerate().skip(1) {
-                    tx.send(total).map_err(|_| CommError::Disconnected {
+                loop {
+                    let msg = rx.recv().map_err(|_| CommError::Disconnected {
                         peer: Some(peer),
-                        during: "allreduce broadcast",
+                        during,
                     })?;
+                    if msg.tag() == want {
+                        return Ok(*msg);
+                    }
+                    stash.push_back(msg);
                 }
-                Ok(total)
             }
-            Reducer::Leaf { broadcast, .. } => {
-                broadcast.recv().map_err(|_| CommError::Disconnected {
-                    peer: Some(0),
-                    during: "allreduce broadcast",
-                })
-            }
+            Link::Sockets(endpoint) => endpoint.recv(peer, want, during),
         }
     }
-
-    /// Posts the local partial vector; a leaf relinquishes ownership (the
-    /// returned vector is what the caller must hold for the fold — empty on
-    /// leaves, `local` itself on the root).
-    fn post_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
-        match self {
-            Reducer::Leaf {
-                rank, gather_vec, ..
-            } => {
-                gather_vec
-                    .send((*rank, local))
-                    .map_err(|_| CommError::Disconnected {
-                        peer: Some(0),
-                        during: "vector allreduce gather",
-                    })?;
-                Ok(Vec::new())
-            }
-            Reducer::Root { .. } => Ok(local),
-        }
-    }
-
-    /// Completes a vector allreduce whose partial was already posted.
-    fn finish_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
-        match self {
-            Reducer::Root {
-                gather_vec,
-                broadcast_vec,
-                ..
-            } => {
-                let peers = broadcast_vec.len() - 1;
-                let mut partials: Vec<Vec<f64>> = vec![Vec::new(); peers + 1];
-                partials[0] = local;
-                for _ in 0..peers {
-                    let (rank, values) =
-                        gather_vec.recv().map_err(|_| CommError::Disconnected {
-                            peer: None,
-                            during: "vector allreduce gather",
-                        })?;
-                    partials[rank] = values;
-                }
-                let totals = fold_partials_rank_ordered(&partials)?;
-                for (peer, tx) in broadcast_vec.iter().enumerate().skip(1) {
-                    tx.send(totals.clone())
-                        .map_err(|_| CommError::Disconnected {
-                            peer: Some(peer),
-                            during: "vector allreduce broadcast",
-                        })?;
-                }
-                Ok(totals)
-            }
-            Reducer::Leaf { broadcast_vec, .. } => {
-                broadcast_vec.recv().map_err(|_| CommError::Disconnected {
-                    peer: Some(0),
-                    during: "vector allreduce broadcast",
-                })
-            }
-        }
-    }
-
-    /// Contributes `local` and returns the global sum; every rank must call
-    /// this the same number of times in the same order.
-    ///
-    /// This is the blocking form of the split-phase pair
-    /// [`Reducer::start_allreduce`] / [`ReducerPending::finish`] and is
-    /// bitwise-identical to it (same partials, same rank-ordered
-    /// accumulation).
-    pub fn allreduce_sum(&self, local: f64) -> Result<f64, CommError> {
-        self.start_allreduce(local)?.finish()
-    }
-
-    /// Starts a split-phase allreduce: the local partial is posted
-    /// immediately (leaf ranks send it to the root before returning), but
-    /// the blocking wait for the global sum is deferred to
-    /// [`ReducerPending::finish`]. Work done between the two calls
-    /// overlaps the reduction wait — this is the window AFEIR uses to run
-    /// page reconstruction *inside* the collective instead of only beside
-    /// local updates.
-    ///
-    /// At most one allreduce may be in flight per rank, and every rank must
-    /// still enter the collectives in the same order. The single-flight rule
-    /// is a protocol contract, not a compile-time guarantee: a leaf posts
-    /// its partial in `start`, so starting a second collective before
-    /// finishing the first desynchronizes the root's gather.
-    pub fn start_allreduce(&self, local: f64) -> Result<ReducerPending<'_>, CommError> {
-        self.post_scalar(local)?;
-        Ok(ReducerPending {
-            reducer: self,
-            local,
-        })
-    }
-
-    /// Contributes one *vector* of partials and returns the component-wise
-    /// global sums; every rank must pass the same number of components. This
-    /// is the single collective of the merged-reduction solvers: all of an
-    /// iteration's scalars (`γ`, `δ`, the fault flag, …) ride in one
-    /// message, one gather and one broadcast.
-    ///
-    /// Component `j` of the result is bitwise-identical to
-    /// [`Reducer::allreduce_sum`] over the same per-rank partials — the root
-    /// folds each component in rank order, exactly like the scalar path.
-    pub fn allreduce_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
-        self.start_allreduce_vec(local)?.finish()
-    }
-
-    /// Split-phase form of [`Reducer::allreduce_vec`]: the partial vector is
-    /// posted immediately, the blocking wait is deferred to
-    /// [`ReducerVecPending::finish`]. The merged-reduction solvers start
-    /// the collective, run the halo exchange and the next matvec while it is
-    /// in flight, and only then collect the sums — the reduction latency
-    /// hides behind the matvec instead of serializing with it. The same
-    /// single-flight / same-order contract as [`Reducer::start_allreduce`]
-    /// applies.
-    pub fn start_allreduce_vec(&self, local: Vec<f64>) -> Result<ReducerVecPending<'_>, CommError> {
-        let local = self.post_vec(local)?;
-        Ok(ReducerVecPending {
-            reducer: self,
-            local,
-        })
-    }
-}
-
-/// Component-wise rank-ordered fold shared by every vector-allreduce path
-/// (in-process root and process root alike): each component's sum is exactly
-/// what the scalar allreduce of the same partials would produce.
-pub(crate) fn fold_partials_rank_ordered(partials: &[Vec<f64>]) -> Result<Vec<f64>, CommError> {
-    let components = partials[0].len();
-    let mut totals = vec![0.0; components];
-    for partial in partials {
-        if partial.len() != components {
-            return Err(CommError::Protocol(format!(
-                "vector allreduce: ranks disagree on component count ({} vs {components})",
-                partial.len()
-            )));
-        }
-        for (t, v) in totals.iter_mut().zip(partial) {
-            *t += v;
-        }
-    }
-    Ok(totals)
-}
-
-/// An in-flight split-phase allreduce on a bare [`Reducer`] (see
-/// [`Reducer::start_allreduce`]).
-///
-/// The contribution has already been posted; dropping the handle without
-/// calling [`ReducerPending::finish`] would deadlock the collective on the
-/// other ranks, hence the `must_use`.
-#[must_use = "finish() completes the collective; dropping the handle deadlocks the peers"]
-#[derive(Debug)]
-pub struct ReducerPending<'a> {
-    reducer: &'a Reducer,
-    local: f64,
-}
-
-impl ReducerPending<'_> {
-    /// Completes the collective and returns the global sum. On the root this
-    /// performs the rank-ordered gather + broadcast; on a leaf it blocks on
-    /// the broadcast of the total.
-    pub fn finish(self) -> Result<f64, CommError> {
-        self.reducer.finish_scalar(self.local)
-    }
-}
-
-/// An in-flight split-phase *vector* allreduce on a bare [`Reducer`] (see
-/// [`Reducer::start_allreduce_vec`]).
-#[must_use = "finish() completes the collective; dropping the handle deadlocks the peers"]
-#[derive(Debug)]
-pub struct ReducerVecPending<'a> {
-    reducer: &'a Reducer,
-    /// The root's own partial (leaves posted theirs at start).
-    local: Vec<f64>,
-}
-
-impl ReducerVecPending<'_> {
-    /// Completes the collective and returns the component-wise global sums.
-    pub fn finish(self) -> Result<Vec<f64>, CommError> {
-        self.reducer.finish_vec(self.local)
-    }
-}
-
-/// The in-process backend's endpoints: mpsc halo and recovery channels plus
-/// the channel [`Reducer`].
-#[derive(Debug)]
-struct InProcessLinks {
-    /// Outgoing halo: `(destination, indices to ship, sender)`.
-    halo_out: Vec<(usize, Vec<usize>, Sender<Vec<f64>>)>,
-    /// Incoming halo: `(source, indices received, receiver)`.
-    halo_in: Vec<(usize, Vec<usize>, Receiver<Vec<f64>>)>,
-    /// Bidirectional recovery channels, one per halo neighbour, sorted by
-    /// peer rank: `(peer, sender to peer, receiver from peer)`.
-    recovery: Vec<(usize, Sender<RecoveryMsg>, Receiver<RecoveryMsg>)>,
-    reducer: Reducer,
-}
-
-/// Which transport carries this rank's traffic.
-#[derive(Debug)]
-enum Backend {
-    InProcess(InProcessLinks),
-    Process(Box<ProcessLinks>),
 }
 
 /// The merged view a coupled-recovery gather wave accumulates: lost-row
@@ -565,99 +262,79 @@ pub type CoupledGatherView = (Vec<(usize, f64)>, Vec<(usize, f64, bool)>);
 /// [`RankComm::over_process`] (one per OS process, sockets + `feir-wire`
 /// frames), move it into the rank's thread/process, and drive an iteration
 /// with [`RankComm::exchange_halo`] / [`RankComm::allreduce_sum`]. Solver
-/// code is backend-agnostic: the collectives perform identical rank-ordered
+/// code is link-agnostic: the collectives perform identical rank-ordered
 /// arithmetic on both transports.
 #[derive(Debug)]
 pub struct RankComm {
     rank: usize,
-    backend: Backend,
+    ranks: usize,
+    link: Link,
+    /// Outgoing halo `(destination, owned indices to ship)`, sorted by peer.
+    halo_out: Vec<(usize, Vec<usize>)>,
+    /// Incoming halo `(source, indices received)`, sorted by peer.
+    halo_in: Vec<(usize, Vec<usize>)>,
+    /// Halo neighbours (either direction), ascending.
+    recovery_peers: Vec<usize>,
     /// Collectives entered through this endpoint (scalar and vector alike,
     /// blocking or split-phase). The merged-reduction solver tests assert
     /// "exactly one allreduce per iteration" against this counter.
-    collectives: std::cell::Cell<u64>,
+    collectives: Cell<u64>,
 }
 
 impl RankComm {
-    /// Creates the connected in-process endpoints for every rank of `plan`.
-    pub fn for_ranks(plan: &HaloPlan, ranks: usize) -> Vec<RankComm> {
-        let mut comms: Vec<RankComm> = Reducer::for_ranks(ranks)
-            .into_iter()
-            .enumerate()
-            .map(|(rank, reducer)| RankComm {
-                rank,
-                backend: Backend::InProcess(InProcessLinks {
-                    halo_out: Vec::new(),
-                    halo_in: Vec::new(),
-                    recovery: Vec::new(),
-                    reducer,
-                }),
-                collectives: std::cell::Cell::new(0),
-            })
-            .collect();
-        fn links(comm: &mut RankComm) -> &mut InProcessLinks {
-            match &mut comm.backend {
-                Backend::InProcess(l) => l,
-                Backend::Process(_) => unreachable!("for_ranks builds in-process endpoints"),
-            }
-        }
-        // One channel per (sender, receiver) pair with a non-empty halo.
-        for receiver_rank in 0..ranks {
-            let mut sources: Vec<(usize, Vec<usize>)> = plan
-                .needs_of(receiver_rank)
+    /// Derives rank `rank`'s halo lists and recovery neighbourhood from
+    /// `plan`; both links move the same values in the same order.
+    fn new(plan: &HaloPlan, rank: usize, ranks: usize, link: Link) -> RankComm {
+        let sorted = |lists: &HashMap<usize, Vec<usize>>| {
+            let mut lists: Vec<(usize, Vec<usize>)> = lists
                 .iter()
-                .map(|(&s, cols)| (s, cols.clone()))
+                .map(|(&peer, cols)| (peer, cols.clone()))
                 .collect();
-            sources.sort_unstable_by_key(|(s, _)| *s);
-            for (sender_rank, cols) in sources {
-                let (tx, rx) = channel();
-                links(&mut comms[sender_rank])
-                    .halo_out
-                    .push((receiver_rank, cols.clone(), tx));
-                links(&mut comms[receiver_rank])
-                    .halo_in
-                    .push((sender_rank, cols, rx));
-            }
+            lists.sort_unstable_by_key(|(peer, _)| *peer);
+            lists
+        };
+        RankComm {
+            rank,
+            ranks,
+            link,
+            halo_out: sorted(plan.sends_of(rank)),
+            halo_in: sorted(plan.needs_of(rank)),
+            recovery_peers: plan.neighbours_of(rank),
+            collectives: Cell::new(0),
         }
-        // Recovery channels: one bidirectional pair per unordered neighbour
-        // pair with halo traffic in either direction, so a recovering rank can
-        // request the off-diagonal contributions of its interpolation from any
-        // rank its stencil reaches.
-        for r in 0..ranks {
-            for s in plan.neighbours_of(r) {
-                if s <= r {
-                    continue;
-                }
-                let (r_to_s_tx, r_to_s_rx) = channel();
-                let (s_to_r_tx, s_to_r_rx) = channel();
-                links(&mut comms[r])
-                    .recovery
-                    .push((s, r_to_s_tx, s_to_r_rx));
-                links(&mut comms[s])
-                    .recovery
-                    .push((r, s_to_r_tx, r_to_s_rx));
-            }
-        }
-        for comm in &mut comms {
-            links(comm)
-                .recovery
-                .sort_unstable_by_key(|(peer, _, _)| *peer);
-        }
-        comms
     }
 
-    /// Wraps a connected process-backend endpoint (see
+    /// Creates the connected in-process endpoints for every rank of `plan`:
+    /// one channel per ordered rank pair.
+    pub fn for_ranks(plan: &HaloPlan, ranks: usize) -> Vec<RankComm> {
+        assert!(ranks > 0, "need at least one rank");
+        let mut to: Vec<Vec<Option<Sender<Box<Message>>>>> = vec![vec![None; ranks]; ranks];
+        let mut from: Vec<Vec<Option<Inbox>>> = (0..ranks)
+            .map(|_| (0..ranks).map(|_| None).collect())
+            .collect();
+        for src in 0..ranks {
+            for dst in (0..ranks).filter(|&dst| dst != src) {
+                let (tx, rx) = channel();
+                to[src][dst] = Some(tx);
+                from[dst][src] = Some((rx, RefCell::default()));
+            }
+        }
+        to.into_iter()
+            .zip(from)
+            .enumerate()
+            .map(|(rank, (to, from))| RankComm::new(plan, rank, ranks, Link::Memory { to, from }))
+            .collect()
+    }
+
+    /// Wraps a connected process-transport endpoint (see
     /// [`crate::process::connect_mesh`]) as this rank's [`RankComm`].
     ///
     /// The halo send/receive lists and the recovery neighbourhood are derived
     /// from `plan` exactly as [`RankComm::for_ranks`] derives them, so the
-    /// two backends move the same values in the same order.
-    pub fn over_process(plan: &HaloPlan, endpoint: crate::process::ProcessEndpoint) -> RankComm {
-        let rank = endpoint.rank();
-        RankComm {
-            rank,
-            backend: Backend::Process(Box::new(ProcessLinks::new(plan, endpoint))),
-            collectives: std::cell::Cell::new(0),
-        }
+    /// two links move the same values in the same order.
+    pub fn over_process(plan: &HaloPlan, endpoint: ProcessEndpoint) -> RankComm {
+        let (rank, ranks) = (endpoint.rank(), endpoint.ranks());
+        RankComm::new(plan, rank, ranks, Link::Sockets(Box::new(endpoint)))
     }
 
     /// This rank's id.
@@ -673,71 +350,178 @@ impl RankComm {
     /// halo entries referenced by its rows are valid after it.
     pub fn exchange_halo(&self, full: &mut [f64]) -> Result<(), CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::Halo);
-        match &self.backend {
-            Backend::InProcess(links) => {
-                for (peer, cols, tx) in &links.halo_out {
-                    let payload: Vec<f64> = cols.iter().map(|&c| full[c]).collect();
-                    tx.send(payload).map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "halo send",
-                    })?;
-                }
-                for (peer, cols, rx) in &links.halo_in {
-                    let payload = rx.recv().map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "halo receive",
-                    })?;
-                    debug_assert_eq!(payload.len(), cols.len());
-                    for (&c, v) in cols.iter().zip(payload) {
-                        full[c] = v;
-                    }
-                }
-                Ok(())
-            }
-            Backend::Process(links) => links.exchange_halo(full),
+        for (dest, cols) in &self.halo_out {
+            let values: Vec<f64> = cols.iter().map(|&c| full[c]).collect();
+            self.link
+                .send(*dest, Message::Halo { values }, "halo send")?;
         }
+        for (src, cols) in &self.halo_in {
+            match self.link.recv(*src, Tag::Halo, "halo receive")? {
+                Message::Halo { values } => scatter_checked(*src, cols, &values, full)?,
+                _ => unreachable!("recv() returns the requested tag"),
+            }
+        }
+        Ok(())
     }
 
-    /// Global sum of `local` over all ranks (see [`Reducer::allreduce_sum`]).
+    /// Contributes `local` and returns the global sum; every rank must call
+    /// this the same number of times in the same order.
+    ///
+    /// Rank 0 gathers one partial per peer, accumulates them **in rank
+    /// order** (so the result is bitwise deterministic run-to-run) and
+    /// broadcasts the sum back. This is the reduction under every `⟨d,q⟩`
+    /// and `‖g‖²` of the distributed CG, and the blocking form of
+    /// [`RankComm::start_allreduce`] / [`PendingAllreduce::finish`],
+    /// bitwise-identical to it.
     pub fn allreduce_sum(&self, local: f64) -> Result<f64, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::Allreduce);
         self.start_allreduce(local)?.finish()
     }
 
-    /// Starts a split-phase allreduce (see [`Reducer::start_allreduce`]):
-    /// post the partial now, overlap local work with the reduction, collect
-    /// the sum with [`PendingAllreduce::finish`].
+    /// Starts a split-phase allreduce: the local partial is posted
+    /// immediately (leaf ranks send it to the root before returning), but
+    /// the blocking wait for the global sum is deferred to
+    /// [`PendingAllreduce::finish`]. Work done between the two calls
+    /// overlaps the reduction wait — this is the window AFEIR uses to run
+    /// page reconstruction *inside* the collective instead of only beside
+    /// local updates.
+    ///
+    /// At most one allreduce may be in flight per rank, and every rank must
+    /// still enter the collectives in the same order. The single-flight rule
+    /// is a protocol contract, not a compile-time guarantee: a leaf posts
+    /// its partial in `start`, so starting a second collective before
+    /// finishing the first desynchronizes the root's gather.
     pub fn start_allreduce(&self, local: f64) -> Result<PendingAllreduce<'_>, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::AllreducePost);
         self.collectives.set(self.collectives.get() + 1);
-        match &self.backend {
-            Backend::InProcess(links) => links.reducer.post_scalar(local)?,
-            Backend::Process(links) => links.post_scalar(local)?,
+        if self.rank != 0 {
+            let gather = Message::GatherScalar {
+                rank: self.rank as u32,
+                value: local,
+            };
+            self.link.send(0, gather, "allreduce gather")?;
         }
         Ok(PendingAllreduce { comm: self, local })
     }
 
-    /// Blocking vector allreduce (see [`Reducer::allreduce_vec`]): all of an
-    /// iteration's scalars in one collective.
+    /// Completes a scalar allreduce: rank 0 gathers every partial, folds in
+    /// rank order and broadcasts; leaves await the broadcast.
+    fn finish_scalar(&self, local: f64) -> Result<f64, CommError> {
+        if self.rank != 0 {
+            return match self
+                .link
+                .recv(0, Tag::BroadcastScalar, "allreduce broadcast")?
+            {
+                Message::BroadcastScalar { value } => Ok(value),
+                _ => unreachable!("recv() returns the requested tag"),
+            };
+        }
+        let mut partials = vec![0.0; self.ranks];
+        partials[0] = local;
+        for (peer, slot) in partials.iter_mut().enumerate().skip(1) {
+            match self
+                .link
+                .recv(peer, Tag::GatherScalar, "allreduce gather")?
+            {
+                Message::GatherScalar { rank, value } => {
+                    if rank as usize != peer {
+                        return Err(CommError::Protocol(format!(
+                            "gather from rank {peer} claims rank {rank}"
+                        )));
+                    }
+                    *slot = value;
+                }
+                _ => unreachable!("recv() returns the requested tag"),
+            }
+        }
+        let total: f64 = partials.iter().sum();
+        for peer in 1..self.ranks {
+            let broadcast = Message::BroadcastScalar { value: total };
+            self.link.send(peer, broadcast, "allreduce broadcast")?;
+        }
+        Ok(total)
+    }
+
+    /// Contributes one *vector* of partials and returns the component-wise
+    /// global sums; every rank must pass the same number of components. This
+    /// is the single collective of the merged-reduction solvers: all of an
+    /// iteration's scalars (`γ`, `δ`, the fault flag, …) ride in one
+    /// message, one gather and one broadcast.
+    ///
+    /// Component `j` of the result is bitwise-identical to
+    /// [`RankComm::allreduce_sum`] over the same per-rank partials — the root
+    /// folds each component in rank order, exactly like the scalar path.
     pub fn allreduce_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::Allreduce);
         self.start_allreduce_vec(local)?.finish()
     }
 
-    /// Starts a split-phase vector allreduce (see
-    /// [`Reducer::start_allreduce_vec`]); the merged-reduction solvers keep
-    /// it in flight across the halo exchange and the matvec.
+    /// Split-phase form of [`RankComm::allreduce_vec`]: the partial vector is
+    /// posted immediately, the blocking wait is deferred to
+    /// [`PendingVecAllreduce::finish`]. The merged-reduction solvers start
+    /// the collective, run the halo exchange and the next matvec while it is
+    /// in flight, and only then collect the sums — the reduction latency
+    /// hides behind the matvec instead of serializing with it. The same
+    /// single-flight / same-order contract as [`RankComm::start_allreduce`]
+    /// applies.
     pub fn start_allreduce_vec(
         &self,
         local: Vec<f64>,
     ) -> Result<PendingVecAllreduce<'_>, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::AllreducePost);
         self.collectives.set(self.collectives.get() + 1);
-        let local = match &self.backend {
-            Backend::InProcess(links) => links.reducer.post_vec(local)?,
-            Backend::Process(links) => links.post_vec(local)?,
+        if self.rank == 0 {
+            return Ok(PendingVecAllreduce { comm: self, local });
+        }
+        let gather = Message::GatherVec {
+            rank: self.rank as u32,
+            values: local,
         };
-        Ok(PendingVecAllreduce { comm: self, local })
+        self.link.send(0, gather, "vector allreduce gather")?;
+        Ok(PendingVecAllreduce {
+            comm: self,
+            local: Vec::new(),
+        })
+    }
+
+    /// Completes a vector allreduce with the rank-ordered component fold.
+    fn finish_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
+        if self.rank != 0 {
+            return match self
+                .link
+                .recv(0, Tag::BroadcastVec, "vector allreduce broadcast")?
+            {
+                Message::BroadcastVec { values } => Ok(values),
+                _ => unreachable!("recv() returns the requested tag"),
+            };
+        }
+        let mut partials: Vec<Vec<f64>> = vec![Vec::new(); self.ranks];
+        partials[0] = local;
+        for (peer, slot) in partials.iter_mut().enumerate().skip(1) {
+            match self
+                .link
+                .recv(peer, Tag::GatherVec, "vector allreduce gather")?
+            {
+                Message::GatherVec { rank, values } => {
+                    if rank as usize != peer {
+                        return Err(CommError::Protocol(format!(
+                            "vector gather from rank {peer} claims rank {rank}"
+                        )));
+                    }
+                    *slot = values;
+                }
+                _ => unreachable!("recv() returns the requested tag"),
+            }
+        }
+        let totals = fold_partials_rank_ordered(&partials)?;
+        for peer in 1..self.ranks {
+            let broadcast = Message::BroadcastVec {
+                values: totals.clone(),
+            };
+            self.link
+                .send(peer, broadcast, "vector allreduce broadcast")?;
+        }
+        Ok(totals)
     }
 
     /// Number of collectives this endpoint has entered (scalar and vector,
@@ -747,19 +531,24 @@ impl RankComm {
         self.collectives.get()
     }
 
-    /// Elastic-mesh rejoin (process backend only): re-links the failed peer
-    /// (when `failed` is `Some`; a respawned newcomer passes `None`), then
-    /// parks at the rejoin barrier until every rank of the new mesh epoch
-    /// has arrived. `iteration` is the iteration this rank had reached;
-    /// returns the barrier's agreed resume iteration (the maximum across
-    /// ranks). See `crate::elastic` for the repair protocol layered on
-    /// top.
+    /// Elastic-mesh rejoin (process transport only): re-links the failed
+    /// peer (when `failed` is `Some`; a respawned newcomer passes `None`),
+    /// then parks at the rejoin barrier until every rank of the new mesh
+    /// epoch has arrived. `iteration` is the iteration this rank had
+    /// reached; returns the barrier's agreed resume iteration (the maximum
+    /// across ranks). See `crate::elastic` for the repair protocol layered
+    /// on top.
     pub fn rejoin(&self, failed: Option<usize>, iteration: u64) -> Result<u64, CommError> {
-        match &self.backend {
-            Backend::InProcess(_) => Err(CommError::Protocol(
+        match &self.link {
+            Link::Memory { .. } => Err(CommError::Protocol(
                 "rank elasticity requires the process transport".into(),
             )),
-            Backend::Process(links) => links.rejoin(failed, iteration),
+            Link::Sockets(endpoint) => {
+                if let Some(k) = failed {
+                    endpoint.relink(k)?;
+                }
+                endpoint.rejoin_barrier(iteration)
+            }
         }
     }
 
@@ -775,13 +564,19 @@ impl RankComm {
     /// The ranks this rank can exchange recovery data with (its halo
     /// neighbours), in ascending order.
     pub fn recovery_peers(&self) -> Vec<usize> {
-        match &self.backend {
-            Backend::InProcess(links) => links.recovery.iter().map(|(peer, _, _)| *peer).collect(),
-            Backend::Process(links) => links.recovery_peers().to_vec(),
-        }
+        self.recovery_peers.clone()
     }
 
-    /// One collective cross-rank recovery round (see [`RecoveryMsg`]).
+    /// One collective cross-rank recovery round.
+    ///
+    /// When a rank discovers a DUE whose recovery relation reaches across a
+    /// rank boundary (the faulted block's matrix stencil references columns
+    /// owned by a neighbour), it cannot reconstruct the block from local data
+    /// alone: the off-diagonal contributions `A_ij · v_j` of the
+    /// interpolation need the neighbour's current values. Every rank posts
+    /// one (possibly empty) request per recovery peer and answers each
+    /// peer's request with one reply, so the protocol stays deadlock-free in
+    /// lockstep with the solver.
     ///
     /// `requests` maps a peer rank to the sorted global indices (owned by
     /// that peer) whose current values this rank needs for its interpolation;
@@ -791,7 +586,9 @@ impl RankComm {
     /// the call returns. `unserviceable` lists (sorted) the global indices
     /// this rank owns but cannot vouch for this round — the rows of its own
     /// freshly scrubbed pages; incoming requests for them are answered with
-    /// the blank value and flagged invalid. Returns the number of values
+    /// the blank value and flagged invalid (two ranks faulting
+    /// simultaneously on stencil-adjacent pages is the cross-rank form of
+    /// the paper's "related data" case). Returns the number of values
     /// fetched across rank boundaries and the sorted fetched indices whose
     /// owner flagged them invalid (the requester must not build an "exact"
     /// reconstruction on those).
@@ -799,7 +596,7 @@ impl RankComm {
     /// Every rank must call this the same number of times in the same order
     /// (it is a neighbourhood collective); a healthy rank simply passes an
     /// empty request map. Requests for peers that are not halo neighbours
-    /// are rejected, as no channel exists to serve them.
+    /// are rejected, as no link serves them.
     pub fn recovery_exchange(
         &self,
         requests: &HashMap<usize, Vec<usize>>,
@@ -823,30 +620,21 @@ impl RankComm {
         &self,
         requests: &HashMap<usize, Vec<usize>>,
     ) -> Result<(), CommError> {
-        match &self.backend {
-            Backend::InProcess(links) => {
-                // A request outside the neighbourhood has no channel to travel
-                // on and would otherwise be dropped silently — reject it
-                // loudly instead.
-                assert!(
-                    requests
-                        .keys()
-                        .all(|peer| links.recovery.iter().any(|(p, _, _)| p == peer)),
-                    "recovery request targets a rank outside the halo neighbourhood"
-                );
-                for (peer, tx, _) in &links.recovery {
-                    let indices = requests.get(peer).cloned().unwrap_or_default();
-                    tx.send(RecoveryMsg::Request(indices)).map_err(|_| {
-                        CommError::Disconnected {
-                            peer: Some(*peer),
-                            during: "recovery request",
-                        }
-                    })?;
-                }
-                Ok(())
-            }
-            Backend::Process(links) => links.post_recovery_requests(requests),
+        // A request outside the neighbourhood would never be answered —
+        // reject it loudly instead.
+        assert!(
+            requests.keys().all(|p| self.recovery_peers.contains(p)),
+            "recovery request targets a rank outside the halo neighbourhood"
+        );
+        for &peer in &self.recovery_peers {
+            let indices: Vec<u64> = requests
+                .get(&peer)
+                .map(|v| v.iter().map(|&i| i as u64).collect())
+                .unwrap_or_default();
+            let request = Message::RecoveryRequest { indices };
+            self.link.send(peer, request, "recovery request")?;
         }
+        Ok(())
     }
 
     /// Phases 2–3 of [`RankComm::recovery_exchange`]: serve the peers'
@@ -854,7 +642,8 @@ impl RankComm {
     /// When `posted` is false the requests are posted first (making the call
     /// equivalent to [`RankComm::recovery_exchange`]); when true the caller
     /// already posted this exact `requests` map via
-    /// [`RankComm::post_recovery_requests`].
+    /// [`RankComm::post_recovery_requests`]. The tag-demultiplexing link
+    /// guarantees a request is always read before the same peer's reply.
     pub fn complete_recovery_exchange(
         &self,
         requests: &HashMap<usize, Vec<usize>>,
@@ -869,76 +658,69 @@ impl RankComm {
         if !posted {
             self.post_recovery_requests(requests)?;
         }
-        match &self.backend {
-            Backend::InProcess(links) => {
-                // Phase 2: answer each incoming request from the owned data,
-                // flagging the entries this rank cannot vouch for.
-                for (peer, tx, rx) in &links.recovery {
-                    match rx.recv().map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "recovery request receive",
-                    })? {
-                        RecoveryMsg::Request(indices) => {
-                            let values: Vec<f64> = indices.iter().map(|&i| data[i]).collect();
-                            let valid: Vec<bool> = indices
-                                .iter()
-                                .map(|i| unserviceable.binary_search(i).is_err())
-                                .collect();
-                            tx.send(RecoveryMsg::Reply { values, valid }).map_err(|_| {
-                                CommError::Disconnected {
-                                    peer: Some(*peer),
-                                    during: "recovery reply",
-                                }
-                            })?;
-                        }
-                        _ => {
+        // Phase 2: answer each incoming request from the owned data,
+        // flagging the entries this rank cannot vouch for.
+        for &peer in &self.recovery_peers {
+            match self
+                .link
+                .recv(peer, Tag::RecoveryRequest, "recovery request receive")?
+            {
+                Message::RecoveryRequest { indices } => {
+                    let mut values = Vec::with_capacity(indices.len());
+                    let mut valid = Vec::with_capacity(indices.len());
+                    for &i in &indices {
+                        let i = i as usize;
+                        if i >= data.len() {
                             return Err(CommError::Protocol(format!(
-                                "unexpected message from rank {peer} before its request"
-                            )))
+                                "rank {peer} requested out-of-range index {i}"
+                            )));
                         }
+                        values.push(data[i]);
+                        valid.push(unserviceable.binary_search(&i).is_err());
                     }
+                    let reply = Message::RecoveryReply { values, valid };
+                    self.link.send(peer, reply, "recovery reply")?;
                 }
-                // Phase 3: scatter the fetched values into the working buffer.
-                let mut fetched = 0;
-                let mut invalid = Vec::new();
-                for (peer, _, rx) in &links.recovery {
-                    match rx.recv().map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "recovery reply receive",
-                    })? {
-                        RecoveryMsg::Reply { values, valid } => {
-                            let indices = requests.get(peer).map(Vec::as_slice).unwrap_or(&[]);
-                            debug_assert_eq!(values.len(), indices.len());
-                            debug_assert_eq!(valid.len(), indices.len());
-                            for ((&i, v), ok) in indices.iter().zip(values).zip(valid) {
-                                data[i] = v;
-                                fetched += 1;
-                                if !ok {
-                                    invalid.push(i);
-                                }
-                            }
-                        }
-                        _ => {
-                            return Err(CommError::Protocol(format!(
-                                "unexpected message from rank {peer} instead of its reply"
-                            )))
-                        }
-                    }
-                }
-                invalid.sort_unstable();
-                Ok((fetched, invalid))
-            }
-            Backend::Process(links) => {
-                links.complete_recovery_exchange(requests, data, unserviceable)
+                _ => unreachable!("recv() returns the requested tag"),
             }
         }
+        // Phase 3: scatter the fetched values into the working buffer.
+        let mut fetched = 0;
+        let mut invalid = Vec::new();
+        for &peer in &self.recovery_peers {
+            match self
+                .link
+                .recv(peer, Tag::RecoveryReply, "recovery reply receive")?
+            {
+                Message::RecoveryReply { values, valid } => {
+                    let indices = requests.get(&peer).map(Vec::as_slice).unwrap_or(&[]);
+                    if values.len() != indices.len() || valid.len() != indices.len() {
+                        return Err(CommError::Protocol(format!(
+                            "recovery reply from rank {peer}: {} values for {} requests",
+                            values.len(),
+                            indices.len()
+                        )));
+                    }
+                    for ((&i, v), ok) in indices.iter().zip(values).zip(valid) {
+                        data[i] = v;
+                        fetched += 1;
+                        if !ok {
+                            invalid.push(i);
+                        }
+                    }
+                }
+                _ => unreachable!("recv() returns the requested tag"),
+            }
+        }
+        invalid.sort_unstable();
+        Ok((fetched, invalid))
     }
 
     /// Downward wave of the coupled cross-rank recovery round: every rank
-    /// receives the [`RecoveryMsg::CoupledGather`] offers of its
-    /// *higher-ranked* halo neighbours (in ascending peer order), merges its
-    /// own offer in, forwards the merged offer to every *lower-ranked*
-    /// neighbour, and returns the merged view.
+    /// receives the coupled-gather offers of its *higher-ranked* halo
+    /// neighbours (in ascending peer order), merges its own offer in,
+    /// forwards the merged offer to every *lower-ranked* neighbour, and
+    /// returns the merged view.
     ///
     /// `rows` are this rank's `(global row, rhs value)` lost-row offers and
     /// `support` its `(global col, value, valid)` surviving stencil entries
@@ -958,61 +740,60 @@ impl RankComm {
     ) -> Result<CoupledGatherView, CommError> {
         let mut rows: Vec<(usize, f64)> = rows.to_vec();
         let mut support: Vec<(usize, f64, bool)> = support.to_vec();
-        match &self.backend {
-            Backend::InProcess(links) => {
-                // Receive the offers flowing down from every higher peer
-                // (links.recovery is sorted ascending, so this order is the
-                // same on every rank).
-                for (peer, _, rx) in &links.recovery {
-                    if *peer < self.rank {
-                        continue;
+        for &peer in self.recovery_peers.iter().filter(|&&p| p > self.rank) {
+            match self
+                .link
+                .recv(peer, Tag::CoupledGather, "coupled gather receive")?
+            {
+                Message::CoupledGather {
+                    rows: peer_rows,
+                    values,
+                    support_cols,
+                    support_values,
+                    support_valid,
+                } => {
+                    if peer_rows.len() != values.len()
+                        || support_cols.len() != support_values.len()
+                        || support_cols.len() != support_valid.len()
+                    {
+                        return Err(CommError::Protocol(format!(
+                            "coupled gather from rank {peer}: mismatched array lengths"
+                        )));
                     }
-                    match rx.recv().map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "coupled gather receive",
-                    })? {
-                        RecoveryMsg::CoupledGather {
-                            rows: peer_rows,
-                            support: peer_support,
-                        } => {
-                            rows.extend(peer_rows);
-                            support.extend(peer_support);
-                        }
-                        _ => {
-                            return Err(CommError::Protocol(format!(
-                                "unexpected message from rank {peer} during coupled gather"
-                            )))
-                        }
-                    }
+                    rows.extend(peer_rows.into_iter().map(|r| r as usize).zip(values));
+                    support.extend(
+                        support_cols
+                            .into_iter()
+                            .map(|c| c as usize)
+                            .zip(support_values)
+                            .zip(support_valid)
+                            .map(|((c, v), ok)| (c, v, ok)),
+                    );
                 }
-                merge_coupled_offer(&mut rows, &mut support);
-                // Forward the merged view to every lower peer.
-                for (peer, tx, _) in &links.recovery {
-                    if *peer > self.rank {
-                        continue;
-                    }
-                    tx.send(RecoveryMsg::CoupledGather {
-                        rows: rows.clone(),
-                        support: support.clone(),
-                    })
-                    .map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "coupled gather send",
-                    })?;
-                }
-                Ok((rows, support))
+                _ => unreachable!("recv() returns the requested tag"),
             }
-            Backend::Process(links) => links.coupled_gather_wave(rows, support),
         }
+        merge_coupled_offer(&mut rows, &mut support);
+        for &peer in self.recovery_peers.iter().filter(|&&p| p < self.rank) {
+            let offer = Message::CoupledGather {
+                rows: rows.iter().map(|&(r, _)| r as u64).collect(),
+                values: rows.iter().map(|&(_, v)| v).collect(),
+                support_cols: support.iter().map(|&(c, _, _)| c as u64).collect(),
+                support_values: support.iter().map(|&(_, v, _)| v).collect(),
+                support_valid: support.iter().map(|&(_, _, ok)| ok).collect(),
+            };
+            self.link.send(peer, offer, "coupled gather send")?;
+        }
+        Ok((rows, support))
     }
 
     /// Upward wave closing the coupled cross-rank recovery round: every rank
-    /// receives the [`RecoveryMsg::CoupledResult`] entries of its
-    /// *lower-ranked* halo neighbours (in ascending peer order), merges its
-    /// own solved entries in, relays the merged set to every *higher-ranked*
-    /// neighbour, and returns the merged `(global row, value)` list sorted by
-    /// row. The caller installs the rows it owns (or needs as halo input)
-    /// from the returned set.
+    /// receives the coupled-result entries of its *lower-ranked* halo
+    /// neighbours (in ascending peer order), merges its own solved entries
+    /// in, relays the merged set to every *higher-ranked* neighbour, and
+    /// returns the merged `(global row, value)` list sorted by row. The
+    /// caller installs the rows it owns (or needs as halo input) from the
+    /// returned set.
     ///
     /// Deduplication keeps the first occurrence in own-then-ascending-peer
     /// order; a row is only ever solved by the lowest rank owning part of
@@ -1024,45 +805,55 @@ impl RankComm {
         entries: &[(usize, f64)],
     ) -> Result<Vec<(usize, f64)>, CommError> {
         let mut entries: Vec<(usize, f64)> = entries.to_vec();
-        match &self.backend {
-            Backend::InProcess(links) => {
-                for (peer, _, rx) in &links.recovery {
-                    if *peer > self.rank {
-                        continue;
+        for &peer in self.recovery_peers.iter().filter(|&&p| p < self.rank) {
+            match self
+                .link
+                .recv(peer, Tag::CoupledResult, "coupled result receive")?
+            {
+                Message::CoupledResult { rows, values } => {
+                    if rows.len() != values.len() {
+                        return Err(CommError::Protocol(format!(
+                            "coupled result from rank {peer}: {} rows for {} values",
+                            rows.len(),
+                            values.len()
+                        )));
                     }
-                    match rx.recv().map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "coupled result receive",
-                    })? {
-                        RecoveryMsg::CoupledResult {
-                            entries: peer_entries,
-                        } => entries.extend(peer_entries),
-                        _ => {
-                            return Err(CommError::Protocol(format!(
-                                "unexpected message from rank {peer} during coupled result"
-                            )))
-                        }
-                    }
+                    entries.extend(rows.into_iter().map(|r| r as usize).zip(values));
                 }
-                entries.sort_by_key(|&(row, _)| row);
-                entries.dedup_by_key(|&mut (row, _)| row);
-                for (peer, tx, _) in &links.recovery {
-                    if *peer < self.rank {
-                        continue;
-                    }
-                    tx.send(RecoveryMsg::CoupledResult {
-                        entries: entries.clone(),
-                    })
-                    .map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "coupled result send",
-                    })?;
-                }
-                Ok(entries)
+                _ => unreachable!("recv() returns the requested tag"),
             }
-            Backend::Process(links) => links.coupled_result_wave(entries),
+        }
+        entries.sort_by_key(|&(row, _)| row);
+        entries.dedup_by_key(|&mut (row, _)| row);
+        for &peer in self.recovery_peers.iter().filter(|&&p| p > self.rank) {
+            let result = Message::CoupledResult {
+                rows: entries.iter().map(|&(r, _)| r as u64).collect(),
+                values: entries.iter().map(|&(_, v)| v).collect(),
+            };
+            self.link.send(peer, result, "coupled result send")?;
+        }
+        Ok(entries)
+    }
+}
+
+/// Component-wise rank-ordered fold of the vector allreduce: each
+/// component's sum is exactly what the scalar allreduce of the same partials
+/// would produce.
+fn fold_partials_rank_ordered(partials: &[Vec<f64>]) -> Result<Vec<f64>, CommError> {
+    let components = partials[0].len();
+    let mut totals = vec![0.0; components];
+    for partial in partials {
+        if partial.len() != components {
+            return Err(CommError::Protocol(format!(
+                "vector allreduce: ranks disagree on component count ({} vs {components})",
+                partial.len()
+            )));
+        }
+        for (t, v) in totals.iter_mut().zip(partial) {
+            *t += v;
         }
     }
+    Ok(totals)
 }
 
 /// Sorts and deduplicates a merged coupled offer in place. Rust's sort is
@@ -1073,6 +864,27 @@ fn merge_coupled_offer(rows: &mut Vec<(usize, f64)>, support: &mut Vec<(usize, f
     rows.dedup_by_key(|&mut (row, _)| row);
     support.sort_by_key(|&(col, _, _)| col);
     support.dedup_by_key(|&mut (col, _, _)| col);
+}
+
+/// Writes a received halo payload into the ghost columns `cols` of `full`,
+/// rejecting a payload whose length disagrees with the plan.
+fn scatter_checked(
+    peer: usize,
+    cols: &[usize],
+    values: &[f64],
+    full: &mut [f64],
+) -> Result<(), CommError> {
+    if values.len() != cols.len() {
+        return Err(CommError::Protocol(format!(
+            "halo from rank {peer}: got {} values, expected {}",
+            values.len(),
+            cols.len()
+        )));
+    }
+    for (&c, &v) in cols.iter().zip(values) {
+        full[c] = v;
+    }
+    Ok(())
 }
 
 /// An in-flight split-phase allreduce on a [`RankComm`] (see
@@ -1094,10 +906,7 @@ impl PendingAllreduce<'_> {
     /// the broadcast of the total.
     pub fn finish(self) -> Result<f64, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::AllreduceWait);
-        match &self.comm.backend {
-            Backend::InProcess(links) => links.reducer.finish_scalar(self.local),
-            Backend::Process(links) => links.finish_scalar(self.local),
-        }
+        self.comm.finish_scalar(self.local)
     }
 }
 
@@ -1117,10 +926,7 @@ impl PendingVecAllreduce<'_> {
     /// leaf it blocks on the broadcast of the totals.
     pub fn finish(self) -> Result<Vec<f64>, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::AllreduceWait);
-        match &self.comm.backend {
-            Backend::InProcess(links) => links.reducer.finish_vec(self.local),
-            Backend::Process(links) => links.finish_vec(self.local),
-        }
+        self.comm.finish_vec(self.local)
     }
 }
 
@@ -1378,30 +1184,29 @@ mod tests {
         // with arbitrary local work between start and finish.
         for ranks in [1usize, 2, 4] {
             let blocking: Vec<f64> = {
-                let reducers = Reducer::for_ranks(ranks);
+                let comms = RankComm::for_ranks(&HaloPlan::empty(ranks), ranks);
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = reducers
+                    let handles: Vec<_> = comms
                         .into_iter()
                         .enumerate()
-                        .map(|(rank, reducer)| {
-                            scope.spawn(move || {
-                                reducer.allreduce_sum(0.1 + rank as f64 * 0.3).unwrap()
-                            })
+                        .map(|(rank, comm)| {
+                            scope
+                                .spawn(move || comm.allreduce_sum(0.1 + rank as f64 * 0.3).unwrap())
                         })
                         .collect();
                     handles.into_iter().map(|h| h.join().unwrap()).collect()
                 })
             };
             let split: Vec<f64> = {
-                let reducers = Reducer::for_ranks(ranks);
+                let comms = RankComm::for_ranks(&HaloPlan::empty(ranks), ranks);
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = reducers
+                    let handles: Vec<_> = comms
                         .into_iter()
                         .enumerate()
-                        .map(|(rank, reducer)| {
+                        .map(|(rank, comm)| {
                             scope.spawn(move || {
                                 let pending =
-                                    reducer.start_allreduce(0.1 + rank as f64 * 0.3).unwrap();
+                                    comm.start_allreduce(0.1 + rank as f64 * 0.3).unwrap();
                                 // Local work overlapping the reduction wait.
                                 let mut acc = 0.0;
                                 for i in 0..500 {
@@ -1428,15 +1233,15 @@ mod tests {
         for ranks in [1usize, 2, 4] {
             let partial = |rank: usize, j: usize| 0.1 + rank as f64 * 0.3 + j as f64 * 0.7;
             let scalar: Vec<Vec<f64>> = {
-                let reducers = Reducer::for_ranks(ranks);
+                let comms = RankComm::for_ranks(&HaloPlan::empty(ranks), ranks);
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = reducers
+                    let handles: Vec<_> = comms
                         .into_iter()
                         .enumerate()
-                        .map(|(rank, reducer)| {
+                        .map(|(rank, comm)| {
                             scope.spawn(move || {
                                 (0..3)
-                                    .map(|j| reducer.allreduce_sum(partial(rank, j)).unwrap())
+                                    .map(|j| comm.allreduce_sum(partial(rank, j)).unwrap())
                                     .collect::<Vec<f64>>()
                             })
                         })
@@ -1445,15 +1250,15 @@ mod tests {
                 })
             };
             let vectored: Vec<Vec<f64>> = {
-                let reducers = Reducer::for_ranks(ranks);
+                let comms = RankComm::for_ranks(&HaloPlan::empty(ranks), ranks);
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = reducers
+                    let handles: Vec<_> = comms
                         .into_iter()
                         .enumerate()
-                        .map(|(rank, reducer)| {
+                        .map(|(rank, comm)| {
                             scope.spawn(move || {
                                 let local: Vec<f64> = (0..3).map(|j| partial(rank, j)).collect();
-                                let pending = reducer.start_allreduce_vec(local).unwrap();
+                                let pending = comm.start_allreduce_vec(local).unwrap();
                                 // Local work overlapping the reduction.
                                 let mut acc = 0.0;
                                 for i in 0..200 {
@@ -1474,6 +1279,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn memory_link_demultiplexes_tags_fifo_per_tag() {
+        let comms = RankComm::for_ranks(&HaloPlan::empty(2), 2);
+        let (sender, receiver) = (&comms[0].link, &comms[1].link);
+        let halo = |v: f64| Message::Halo { values: vec![v] };
+        let gather = |v: f64| Message::GatherScalar { rank: 0, value: v };
+        for msg in [halo(1.0), gather(10.0), halo(2.0), gather(20.0)] {
+            sender.send(1, msg, "test send").unwrap();
+        }
+        // Asking for the gathers first stashes the halos that arrive ahead
+        // of them; each tag still comes out in its own send order.
+        let got: Vec<Message> = [Tag::GatherScalar, Tag::GatherScalar, Tag::Halo, Tag::Halo]
+            .into_iter()
+            .map(|tag| receiver.recv(0, tag, "test receive").unwrap())
+            .collect();
+        assert_eq!(got, vec![gather(10.0), gather(20.0), halo(1.0), halo(2.0)]);
     }
 
     #[test]
@@ -1501,13 +1324,13 @@ mod tests {
     #[test]
     fn reducer_sums_across_ranks_deterministically() {
         for ranks in [1usize, 2, 5] {
-            let reducers = Reducer::for_ranks(ranks);
+            let comms = RankComm::for_ranks(&HaloPlan::empty(ranks), ranks);
             let total: f64 = std::thread::scope(|scope| {
-                let handles: Vec<_> = reducers
+                let handles: Vec<_> = comms
                     .into_iter()
                     .enumerate()
-                    .map(|(rank, reducer)| {
-                        scope.spawn(move || reducer.allreduce_sum((rank + 1) as f64).unwrap())
+                    .map(|(rank, comm)| {
+                        scope.spawn(move || comm.allreduce_sum((rank + 1) as f64).unwrap())
                     })
                     .collect();
                 let mut totals: Vec<f64> = handles

@@ -57,11 +57,12 @@
 //!
 //! # Determinism
 //!
-//! The collectives gather per-rank partials and fold them **in rank order**
-//! with the very same arithmetic as the in-process backend (see
-//! [`crate::comm`]), so a solve over this transport is bitwise identical to
-//! the thread-backed one — chaos or not, as long as every fault is absorbed
-//! by the reliability sublayer.
+//! The collectives are written once in [`crate::comm`] over a link that is
+//! either this socket endpoint or an in-process channel mesh: the same
+//! messages in the same order, partials folded **in rank order**. A solve
+//! over this transport is therefore bitwise identical to the thread-backed
+//! one — chaos or not, as long as every fault is absorbed by the
+//! reliability sublayer.
 //!
 //! # Worker processes
 //!
@@ -76,7 +77,7 @@
 //! refuses to start rather than silently running defaults.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -95,7 +96,7 @@ use feir_wire::chaos::{
 use feir_wire::{FrameReader, Message, RankErrorKind, Tag, WireError};
 
 use crate::cg::DistSolveResult;
-use crate::comm::{fold_partials_rank_ordered, CommError, HaloPlan, RankComm};
+use crate::comm::{CommError, HaloPlan, RankComm};
 use crate::kernels;
 use crate::partition::RankPartition;
 
@@ -784,7 +785,12 @@ impl ProcessEndpoint {
         f(link)
     }
 
-    fn send(&self, peer: usize, msg: &Message, during: &'static str) -> Result<(), CommError> {
+    pub(crate) fn send(
+        &self,
+        peer: usize,
+        msg: &Message,
+        during: &'static str,
+    ) -> Result<(), CommError> {
         self.with_link(peer, |link| {
             if let Some(err) = link.shared.down_error(peer, during) {
                 return Err(err);
@@ -819,7 +825,12 @@ impl ProcessEndpoint {
         })
     }
 
-    fn recv(&self, peer: usize, want: Tag, during: &'static str) -> Result<Message, CommError> {
+    pub(crate) fn recv(
+        &self,
+        peer: usize,
+        want: Tag,
+        during: &'static str,
+    ) -> Result<Message, CommError> {
         self.with_link(peer, |link| {
             if let Some(at) = link.inbox.iter().position(|m| m.tag() == want) {
                 return Ok(link.inbox.remove(at).expect("inbox position just found"));
@@ -860,21 +871,6 @@ impl ProcessEndpoint {
                 }
             }
         })
-    }
-
-    fn recv_halo_into(
-        &self,
-        peer: usize,
-        cols: &[usize],
-        full: &mut [f64],
-    ) -> Result<(), CommError> {
-        match self.recv(peer, Tag::Halo, "halo receive")? {
-            Message::Halo { values } => scatter_checked(peer, cols, &values, full),
-            other => Err(CommError::Protocol(format!(
-                "halo receive from rank {peer}: unexpected {:?} frame",
-                other.tag()
-            ))),
-        }
     }
 
     /// Tears down the dead link to `failed` and re-handshakes its
@@ -1016,25 +1012,6 @@ impl ProcessEndpoint {
             }
         })
     }
-}
-
-fn scatter_checked(
-    peer: usize,
-    cols: &[usize],
-    values: &[f64],
-    full: &mut [f64],
-) -> Result<(), CommError> {
-    if values.len() != cols.len() {
-        return Err(CommError::Protocol(format!(
-            "halo from rank {peer}: got {} values, expected {}",
-            values.len(),
-            cols.len()
-        )));
-    }
-    for (&c, &v) in cols.iter().zip(values) {
-        full[c] = v;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1344,401 +1321,6 @@ pub fn connect_mesh(
         epochs: RefCell::new(epochs),
         downed,
     })
-}
-
-/// The process backend's per-rank state behind [`RankComm`]: the endpoint
-/// plus the plan-derived halo lists and recovery neighbourhood, mirroring
-/// exactly what the in-process backend wires with channels.
-#[derive(Debug)]
-pub(crate) struct ProcessLinks {
-    endpoint: ProcessEndpoint,
-    /// Outgoing halo `(destination, owned indices to ship)`, sorted by peer.
-    halo_out: Vec<(usize, Vec<usize>)>,
-    /// Incoming halo `(source, indices received)`, sorted by peer.
-    halo_in: Vec<(usize, Vec<usize>)>,
-    /// Halo neighbours (either direction), ascending.
-    recovery_peers: Vec<usize>,
-}
-
-impl ProcessLinks {
-    pub(crate) fn new(plan: &HaloPlan, endpoint: ProcessEndpoint) -> ProcessLinks {
-        let rank = endpoint.rank();
-        let mut halo_out: Vec<(usize, Vec<usize>)> = plan
-            .sends_of(rank)
-            .iter()
-            .map(|(&dest, cols)| (dest, cols.clone()))
-            .collect();
-        halo_out.sort_unstable_by_key(|(dest, _)| *dest);
-        let mut halo_in: Vec<(usize, Vec<usize>)> = plan
-            .needs_of(rank)
-            .iter()
-            .map(|(&src, cols)| (src, cols.clone()))
-            .collect();
-        halo_in.sort_unstable_by_key(|(src, _)| *src);
-        let recovery_peers = plan.neighbours_of(rank);
-        ProcessLinks {
-            endpoint,
-            halo_out,
-            halo_in,
-            recovery_peers,
-        }
-    }
-
-    pub(crate) fn recovery_peers(&self) -> &[usize] {
-        &self.recovery_peers
-    }
-
-    /// Relinks a failed peer (when named) and meets the rejoin barrier.
-    pub(crate) fn rejoin(&self, failed: Option<usize>, iteration: u64) -> Result<u64, CommError> {
-        if let Some(k) = failed {
-            self.endpoint.relink(k)?;
-        }
-        self.endpoint.rejoin_barrier(iteration)
-    }
-
-    pub(crate) fn exchange_halo(&self, full: &mut [f64]) -> Result<(), CommError> {
-        for (dest, cols) in &self.halo_out {
-            let values: Vec<f64> = cols.iter().map(|&c| full[c]).collect();
-            self.endpoint
-                .send(*dest, &Message::Halo { values }, "halo send")?;
-        }
-        for (src, cols) in &self.halo_in {
-            self.endpoint.recv_halo_into(*src, cols, full)?;
-        }
-        Ok(())
-    }
-
-    /// Leaf half of the scalar allreduce post (root holds its partial).
-    pub(crate) fn post_scalar(&self, local: f64) -> Result<(), CommError> {
-        if self.endpoint.rank() != 0 {
-            self.endpoint.send(
-                0,
-                &Message::GatherScalar {
-                    rank: self.endpoint.rank() as u32,
-                    value: local,
-                },
-                "allreduce gather",
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Completes a scalar allreduce: rank 0 gathers every partial, folds in
-    /// rank order (identical arithmetic to the in-process root) and
-    /// broadcasts; leaves await the broadcast.
-    pub(crate) fn finish_scalar(&self, local: f64) -> Result<f64, CommError> {
-        let ranks = self.endpoint.ranks();
-        if self.endpoint.rank() == 0 {
-            let mut partials = vec![0.0; ranks];
-            partials[0] = local;
-            #[allow(clippy::needless_range_loop)] // `peer` is a rank id, not just an index
-            for peer in 1..ranks {
-                match self
-                    .endpoint
-                    .recv(peer, Tag::GatherScalar, "allreduce gather")?
-                {
-                    Message::GatherScalar { rank, value } => {
-                        if rank as usize != peer {
-                            return Err(CommError::Protocol(format!(
-                                "gather from rank {peer} claims rank {rank}"
-                            )));
-                        }
-                        partials[peer] = value;
-                    }
-                    _ => unreachable!("recv() returns the requested tag"),
-                }
-            }
-            let total: f64 = partials.iter().sum();
-            for peer in 1..ranks {
-                self.endpoint.send(
-                    peer,
-                    &Message::BroadcastScalar { value: total },
-                    "allreduce broadcast",
-                )?;
-            }
-            Ok(total)
-        } else {
-            match self
-                .endpoint
-                .recv(0, Tag::BroadcastScalar, "allreduce broadcast")?
-            {
-                Message::BroadcastScalar { value } => Ok(value),
-                _ => unreachable!("recv() returns the requested tag"),
-            }
-        }
-    }
-
-    /// Leaf half of the vector allreduce post; returns the partial the
-    /// caller must retain for the fold (root keeps its own, leaves none).
-    pub(crate) fn post_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
-        if self.endpoint.rank() == 0 {
-            return Ok(local);
-        }
-        self.endpoint.send(
-            0,
-            &Message::GatherVec {
-                rank: self.endpoint.rank() as u32,
-                values: local,
-            },
-            "vector allreduce gather",
-        )?;
-        Ok(Vec::new())
-    }
-
-    /// Completes a vector allreduce with the rank-ordered component fold.
-    pub(crate) fn finish_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
-        let ranks = self.endpoint.ranks();
-        if self.endpoint.rank() == 0 {
-            let mut partials: Vec<Vec<f64>> = vec![Vec::new(); ranks];
-            partials[0] = local;
-            for (peer, slot) in partials.iter_mut().enumerate().skip(1) {
-                match self
-                    .endpoint
-                    .recv(peer, Tag::GatherVec, "vector allreduce gather")?
-                {
-                    Message::GatherVec { rank, values } => {
-                        if rank as usize != peer {
-                            return Err(CommError::Protocol(format!(
-                                "vector gather from rank {peer} claims rank {rank}"
-                            )));
-                        }
-                        *slot = values;
-                    }
-                    _ => unreachable!("recv() returns the requested tag"),
-                }
-            }
-            let totals = fold_partials_rank_ordered(&partials)?;
-            for peer in 1..ranks {
-                self.endpoint.send(
-                    peer,
-                    &Message::BroadcastVec {
-                        values: totals.clone(),
-                    },
-                    "vector allreduce broadcast",
-                )?;
-            }
-            Ok(totals)
-        } else {
-            match self
-                .endpoint
-                .recv(0, Tag::BroadcastVec, "vector allreduce broadcast")?
-            {
-                Message::BroadcastVec { values } => Ok(values),
-                _ => unreachable!("recv() returns the requested tag"),
-            }
-        }
-    }
-
-    /// Phase 1 of the recovery neighbourhood collective in isolation (the
-    /// AFEIR in-window prefetch hook; see
-    /// [`crate::comm::RankComm::post_recovery_requests`]).
-    pub(crate) fn post_recovery_requests(
-        &self,
-        requests: &HashMap<usize, Vec<usize>>,
-    ) -> Result<(), CommError> {
-        assert!(
-            requests.keys().all(|p| self.recovery_peers.contains(p)),
-            "recovery request targets a rank outside the halo neighbourhood"
-        );
-        for peer in &self.recovery_peers {
-            let indices: Vec<u64> = requests
-                .get(peer)
-                .map(|v| v.iter().map(|&i| i as u64).collect())
-                .unwrap_or_default();
-            self.endpoint.send(
-                *peer,
-                &Message::RecoveryRequest { indices },
-                "recovery request",
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Phases 2–3 of the recovery neighbourhood collective, frame-for-frame
-    /// the in-process protocol: answer incoming requests, scatter replies.
-    /// The caller's own requests must already be on the wire (the comm layer
-    /// posts them via [`ProcessLinks::post_recovery_requests`] unless the
-    /// AFEIR window prefetched them). The tag-aware inbox guarantees a
-    /// request is always read before the same peer's reply.
-    pub(crate) fn complete_recovery_exchange(
-        &self,
-        requests: &HashMap<usize, Vec<usize>>,
-        data: &mut [f64],
-        unserviceable: &[usize],
-    ) -> Result<(usize, Vec<usize>), CommError> {
-        for peer in &self.recovery_peers {
-            match self
-                .endpoint
-                .recv(*peer, Tag::RecoveryRequest, "recovery request receive")?
-            {
-                Message::RecoveryRequest { indices } => {
-                    let mut values = Vec::with_capacity(indices.len());
-                    let mut valid = Vec::with_capacity(indices.len());
-                    for &i in &indices {
-                        let i = i as usize;
-                        if i >= data.len() {
-                            return Err(CommError::Protocol(format!(
-                                "rank {peer} requested out-of-range index {i}"
-                            )));
-                        }
-                        values.push(data[i]);
-                        valid.push(unserviceable.binary_search(&i).is_err());
-                    }
-                    self.endpoint.send(
-                        *peer,
-                        &Message::RecoveryReply { values, valid },
-                        "recovery reply",
-                    )?;
-                }
-                _ => unreachable!("recv() returns the requested tag"),
-            }
-        }
-        let mut fetched = 0;
-        let mut invalid = Vec::new();
-        for peer in &self.recovery_peers {
-            match self
-                .endpoint
-                .recv(*peer, Tag::RecoveryReply, "recovery reply receive")?
-            {
-                Message::RecoveryReply { values, valid } => {
-                    let indices = requests.get(peer).map(Vec::as_slice).unwrap_or(&[]);
-                    if values.len() != indices.len() || valid.len() != indices.len() {
-                        return Err(CommError::Protocol(format!(
-                            "recovery reply from rank {peer}: {} values for {} requests",
-                            values.len(),
-                            indices.len()
-                        )));
-                    }
-                    for ((&i, v), ok) in indices.iter().zip(values).zip(valid) {
-                        data[i] = v;
-                        fetched += 1;
-                        if !ok {
-                            invalid.push(i);
-                        }
-                    }
-                }
-                _ => unreachable!("recv() returns the requested tag"),
-            }
-        }
-        invalid.sort_unstable();
-        Ok((fetched, invalid))
-    }
-
-    /// Downward coupled-recovery wave over the wire (see
-    /// [`crate::comm::RankComm::coupled_gather_wave`]): receive the merged
-    /// offers of every higher-ranked peer, merge this rank's own offer in,
-    /// forward downward, return the merged view.
-    pub(crate) fn coupled_gather_wave(
-        &self,
-        mut rows: Vec<(usize, f64)>,
-        mut support: Vec<(usize, f64, bool)>,
-    ) -> Result<crate::comm::CoupledGatherView, CommError> {
-        let rank = self.endpoint.rank();
-        for peer in &self.recovery_peers {
-            if *peer < rank {
-                continue;
-            }
-            match self
-                .endpoint
-                .recv(*peer, Tag::CoupledGather, "coupled gather receive")?
-            {
-                Message::CoupledGather {
-                    rows: peer_rows,
-                    values,
-                    support_cols,
-                    support_values,
-                    support_valid,
-                } => {
-                    if peer_rows.len() != values.len()
-                        || support_cols.len() != support_values.len()
-                        || support_cols.len() != support_valid.len()
-                    {
-                        return Err(CommError::Protocol(format!(
-                            "coupled gather from rank {peer}: mismatched array lengths"
-                        )));
-                    }
-                    rows.extend(peer_rows.into_iter().map(|r| r as usize).zip(values));
-                    support.extend(
-                        support_cols
-                            .into_iter()
-                            .map(|c| c as usize)
-                            .zip(support_values)
-                            .zip(support_valid)
-                            .map(|((c, v), ok)| (c, v, ok)),
-                    );
-                }
-                _ => unreachable!("recv() returns the requested tag"),
-            }
-        }
-        rows.sort_by_key(|&(row, _)| row);
-        rows.dedup_by_key(|&mut (row, _)| row);
-        support.sort_by_key(|&(col, _, _)| col);
-        support.dedup_by_key(|&mut (col, _, _)| col);
-        for peer in &self.recovery_peers {
-            if *peer > rank {
-                continue;
-            }
-            self.endpoint.send(
-                *peer,
-                &Message::CoupledGather {
-                    rows: rows.iter().map(|&(r, _)| r as u64).collect(),
-                    values: rows.iter().map(|&(_, v)| v).collect(),
-                    support_cols: support.iter().map(|&(c, _, _)| c as u64).collect(),
-                    support_values: support.iter().map(|&(_, v, _)| v).collect(),
-                    support_valid: support.iter().map(|&(_, _, ok)| ok).collect(),
-                },
-                "coupled gather send",
-            )?;
-        }
-        Ok((rows, support))
-    }
-
-    /// Upward coupled-recovery wave over the wire (see
-    /// [`crate::comm::RankComm::coupled_result_wave`]): receive the solved
-    /// entries of every lower-ranked peer, merge, relay upward.
-    pub(crate) fn coupled_result_wave(
-        &self,
-        mut entries: Vec<(usize, f64)>,
-    ) -> Result<Vec<(usize, f64)>, CommError> {
-        let rank = self.endpoint.rank();
-        for peer in &self.recovery_peers {
-            if *peer > rank {
-                continue;
-            }
-            match self
-                .endpoint
-                .recv(*peer, Tag::CoupledResult, "coupled result receive")?
-            {
-                Message::CoupledResult { rows, values } => {
-                    if rows.len() != values.len() {
-                        return Err(CommError::Protocol(format!(
-                            "coupled result from rank {peer}: {} rows for {} values",
-                            rows.len(),
-                            values.len()
-                        )));
-                    }
-                    entries.extend(rows.into_iter().map(|r| r as usize).zip(values));
-                }
-                _ => unreachable!("recv() returns the requested tag"),
-            }
-        }
-        entries.sort_by_key(|&(row, _)| row);
-        entries.dedup_by_key(|&mut (row, _)| row);
-        for peer in &self.recovery_peers {
-            if *peer < rank {
-                continue;
-            }
-            self.endpoint.send(
-                *peer,
-                &Message::CoupledResult {
-                    rows: entries.iter().map(|&(r, _)| r as u64).collect(),
-                    values: entries.iter().map(|&(_, v)| v).collect(),
-                },
-                "coupled result send",
-            )?;
-        }
-        Ok(entries)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2787,7 +2369,9 @@ pub fn worker_main() -> std::process::ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::CoupledGatherView;
     use feir_sparse::generators::poisson_2d;
+    use std::collections::HashMap;
     use std::sync::Barrier;
 
     /// Builds a thread-backed mesh of process endpoints over the transport
@@ -3044,6 +2628,77 @@ mod tests {
                 assert_eq!(fetched, 0);
                 assert!(invalid.is_empty());
             }
+        }
+    }
+
+    /// Both coupled-recovery waves on one rank, with offers that overlap
+    /// the next rank's: rows `10r..10r+12` and support columns
+    /// `10r+5..10r+15`, each value a function of its index only (as an
+    /// owner's copy would be). Rank 0 "solves" the whole merged union; the
+    /// others offer results for their own rows, so the result wave also
+    /// merges duplicates.
+    fn run_coupled_waves(comm: &RankComm) -> (CoupledGatherView, Vec<(usize, f64)>) {
+        let r = comm.rank();
+        let rows: Vec<(usize, f64)> = (10 * r..10 * r + 12)
+            .map(|i| (i, 0.1 + i as f64 * 0.3))
+            .collect();
+        let support: Vec<(usize, f64, bool)> = (10 * r + 5..10 * r + 15)
+            .map(|c| (c, 1.0 / (c + 1) as f64, c % 7 != 0))
+            .collect();
+        let view = comm.coupled_gather_wave(&rows, &support).unwrap();
+        let solved = if r == 0 { &view.0 } else { &rows };
+        let entries: Vec<(usize, f64)> = solved.iter().map(|&(i, v)| (i, v.sqrt())).collect();
+        let result = comm.coupled_result_wave(&entries).unwrap();
+        (view, result)
+    }
+
+    #[test]
+    fn mesh_coupled_waves_match_in_process_bitwise() {
+        let a = poisson_2d(6);
+        let ranks = 3;
+        let partition = RankPartition::new(a.rows(), ranks);
+        let plan = HaloPlan::build(&a, &partition);
+        let transport = uds_transport();
+        let _guard = match &transport {
+            Transport::Uds { dir } => RunDirGuard(dir.clone()),
+            _ => unreachable!(),
+        };
+        let over_wire = with_mesh(ranks, &transport, |ep| {
+            run_coupled_waves(&RankComm::over_process(&plan, ep))
+        });
+        let in_process: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = RankComm::for_ranks(&plan, ranks)
+                .into_iter()
+                .map(|comm| scope.spawn(move || run_coupled_waves(&comm)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let bits = |((rows, support), result): &(CoupledGatherView, Vec<(usize, f64)>)| {
+            (
+                rows.iter()
+                    .map(|&(i, v)| (i, v.to_bits()))
+                    .collect::<Vec<_>>(),
+                support
+                    .iter()
+                    .map(|&(c, v, ok)| (c, v.to_bits(), ok))
+                    .collect::<Vec<_>>(),
+                result
+                    .iter()
+                    .map(|&(i, v)| (i, v.to_bits()))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        // The gather wave reaches rank 0 with every rank's offer merged and
+        // deduplicated; the result wave carries rank 0's solution back up.
+        let ((rows0, support0), _) = &over_wire[0];
+        assert_eq!(
+            rows0.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            (0..32).collect::<Vec<_>>()
+        );
+        assert_eq!(support0.len(), 30);
+        assert_eq!(over_wire[2].1.len(), 32);
+        for (rank, (wire, memory)) in over_wire.iter().zip(&in_process).enumerate() {
+            assert_eq!(bits(wire), bits(memory), "rank {rank}");
         }
     }
 

@@ -15,7 +15,7 @@
 //! * the generic per-rank loop (the crate-private `rank_loop` module)
 //!   drives one relations instance per rank under the full
 //!   [`RecoveryPolicy`] matrix, using the cross-rank
-//!   [`RecoveryMsg`](crate::comm::RecoveryMsg) request/reply round for
+//!   [`RankComm::recovery_exchange`] request/reply round for
 //!   interpolations whose stencil crosses a rank boundary and the
 //!   **split-phase allreduce** ([`RankComm::start_allreduce`]) so AFEIR
 //!   overlaps page reconstruction with the reduction wait itself.
